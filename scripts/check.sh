@@ -7,6 +7,8 @@
 #                               + asan pass of the recovery tier (the
 #                                 image-corruption fuzzer + salvage units,
 #                                 `ctest -L recovery`)
+#                               + the recovery tier again in an NVC_NO_SIMD
+#                                 build (table CRC32C fallback)
 #                               + the bench regression gate when a fresh
 #                                 BENCH_micro.json exists at the repo root
 #
@@ -55,6 +57,18 @@ if [ "$run_asan" = 1 ]; then
       --target test_recovery_units test_recovery_fuzz
   ctest --test-dir build-asan -L recovery -j "$jobs" --output-on-failure
 fi
+
+# CRC32C runs on the SSE4.2 crc32 instruction wherever the build targets
+# it, so on such hosts the default and asan builds never execute the table
+# fallback. An NVC_NO_SIMD build forces it; the recovery tier (checksum
+# known answers, differential and chaining tests, salvage, scrub) must pass
+# there unchanged.
+echo "== nosimd: recovery tier on the table CRC32C fallback =="
+cmake -B build-nosimd -S . -DNVC_NO_SIMD=ON -DNVC_BUILD_BENCH=OFF \
+    -DNVC_BUILD_EXAMPLES=OFF >/dev/null
+cmake --build build-nosimd -j "$(nproc)" \
+    --target test_recovery_units test_recovery_fuzz
+ctest --test-dir build-nosimd -L recovery -j "$jobs" --output-on-failure
 
 if [ "$run_bench" = 1 ]; then
   if [ -f BENCH_micro.json ]; then

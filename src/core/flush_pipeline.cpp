@@ -24,10 +24,14 @@ inline void cpu_pause() noexcept {
 /// between FASE commits is swept before it backs up.
 constexpr auto kDozeTick = std::chrono::microseconds(200);
 
-/// After a sweep found work, keep polling this long before dozing again —
-/// an eviction storm delivers lines faster than cv wakeups can. Only used
-/// when a spare hardware thread exists; on a single-core host spinning
-/// would steal the producer's timeslice.
+/// After a watermark poke (an eviction storm), keep polling the home rings
+/// this long past the last line found before dozing again — a storm
+/// delivers lines faster than cv wakeups can. Tick wakes never spin:
+/// between storms a poll would snatch each line as it is pushed, contending
+/// for the consumer lock with the producer's drain, which retires a FASE's
+/// few lines cheaper than the handoff. Only used when a spare hardware
+/// thread exists; on a single-core host spinning would steal the producer's
+/// timeslice.
 constexpr auto kSpinWindow = std::chrono::microseconds(50);
 
 std::uint64_t steady_now_ns() noexcept {
@@ -72,6 +76,8 @@ bool FlushChannel::try_push(LineAddr line) {
 }
 
 bool FlushChannel::consume_one(std::uint32_t consumer) {
+  // Read-only probe first: polling an empty ring takes no lock.
+  if (queue_.empty()) return false;
   if (consume_lock_.test_and_set(std::memory_order_acquire)) {
     return false;  // the other side holds the lock and is making progress
   }
@@ -279,7 +285,7 @@ bool FlushWorker::steal_one(const FlushChannel* self) {
     channels = channels_;
   }
   for (const auto& ch : channels) {
-    if (ch.get() == self || ch->queue_.empty()) continue;
+    if (ch.get() == self) continue;
     if (ch->consume_one(FlushChannel::kHelperConsumer)) {
       steals_.fetch_add(1, std::memory_order_relaxed);
       return true;
@@ -304,7 +310,7 @@ std::size_t FlushWorker::sweep(
   if (total == 0 && workers_.size() > 1) {
     std::size_t stolen = 0;
     for (const auto& ch : channels) {
-      if (ch->home_ == me || ch->queue_.empty()) continue;
+      if (ch->home_ == me) continue;
       while (ch->consume_one(me)) ++stolen;
     }
     if (stolen != 0) {
@@ -320,7 +326,7 @@ void FlushWorker::run(std::stop_token st, std::size_t w) {
   // Placement is a hint: pinning only under NVC_PIN, and failure to pin is
   // silently tolerated (containers often mask CPUs out of the affinity set).
   if (pin_) pin_thread_to_cpu(worker_cpu_[w]);
-  // On a single-core host the post-work spin below would only steal the
+  // On a single-core host the post-poke spin below would only steal the
   // producer's timeslice; drain()'s helping consumer covers latency there.
   // The topology probe is cached process-wide — no per-decision re-query.
   const bool can_spin = cpu_topology().can_spin();
@@ -332,12 +338,17 @@ void FlushWorker::run(std::stop_token st, std::size_t w) {
     // timeout (predicate false) still sweeps — the tick is the default
     // delivery mechanism; pokes only accelerate watermark crossings.
     self.cv.wait_for(lock, st, kDozeTick, [&] { return self.poked; });
+    const bool poked = self.poked;
     self.poked = false;
     std::vector<std::shared_ptr<FlushChannel>> channels = channels_;
     lock.unlock();
 
-    bool idle = false;
-    if (can_spin) {
+    // Only a poke (a ring crossed its high watermark) opens the spin
+    // window. A tick wake sweeps once and then counts as idle: between
+    // storms, polling would only race the producer's own drain for a line
+    // or two per FASE and keep the idle hook from ever running.
+    bool idle = !poked;
+    if (poked && can_spin) {
       auto last_work = std::chrono::steady_clock::now();
       while (!st.stop_requested()) {
         if (sweep(w, channels) != 0) {
@@ -350,13 +361,13 @@ void FlushWorker::run(std::stop_token st, std::size_t w) {
           cpu_pause();
         }
       }
-    } else {
-      idle = sweep(w, channels) == 0;
+    } else if (sweep(w, channels) == 0) {
+      idle = true;
     }
     // Idle worker: one bounded slice of background work (the online
-    // scrubber). Flush traffic always wins — the slice runs only after a
-    // sweep (plus spin window) found every home ring empty, and the next
-    // doze tick re-checks the rings before another slice runs.
+    // scrubber). Flush traffic wins during a storm — after a poke the slice
+    // runs only once the spin window found every home ring empty — and the
+    // next wake re-checks the rings before another slice runs.
     if (idle && !st.stop_requested()) run_idle_task();
 
     lock.lock();

@@ -15,6 +15,13 @@
 //   FASE end: drain() = wait until
 //   completed == pushed, then fence
 //
+// The worker spin-polls its rings only after a poke, i.e. during an
+// eviction storm. Between storms a tick wake sweeps once and goes idle:
+// handing a line or two per FASE to another core costs more than the
+// producer's own drain writing them back ("Writes Hurt"; FliT's delegation
+// caveat), and a worker polling the rings would contend for the consumer
+// lock with the producer's drain on every FASE commit.
+//
 // drain() is a *completion ticket*: the producer snapshots its own push
 // count and waits for the worker's completed count to cover it. Crucially
 // the waiting producer **helps**: the consumer side of the ring is guarded
@@ -124,7 +131,8 @@ class FlushChannel {
 
   /// Producer: wake the worker unless it has already been asked since its
   /// last sweep (high-watermark crossing). Amortizes the poke's mutex
-  /// round-trip over a whole eviction burst.
+  /// round-trip over a whole eviction burst, and opens the worker's spin
+  /// window — the only wake that does.
   void request_wake();
 
   /// Thread that performed the most recent write-back (test hook: proves
@@ -154,8 +162,9 @@ class FlushChannel {
                std::size_t capacity, bool manual);
 
   /// Pop and flush one line if any is ready. Returns false when the ring
-  /// was empty or another thread holds the consumer side right now (it is
-  /// making progress on our behalf either way). `consumer` is recorded as
+  /// was empty (checked read-only, before touching the consumer lock) or
+  /// another thread holds the consumer side right now (it is making
+  /// progress on our behalf either way). `consumer` is recorded as
   /// last_flush_worker() on success.
   bool consume_one(std::uint32_t consumer = kHelperConsumer);
 
@@ -190,10 +199,11 @@ class FlushChannel {
   std::uint32_t home_ = 0;
 };
 
-/// Background work a pool worker runs when its sweep found nothing to flush
-/// (the online scrubber piggybacks here, DESIGN.md §14). One bounded slice
-/// per call; return true when the step did useful work (the worker may call
-/// again within its spin window), false when there is nothing to do.
+/// Background work a pool worker runs when it goes idle: after every tick
+/// wake's single sweep, and after a poke's spin window found the home rings
+/// empty (the online scrubber piggybacks here, DESIGN.md §14). One bounded
+/// slice per call; return true when the step did useful work, false when
+/// there is nothing to do.
 /// Registered as weak_ptr so a task simply expiring (its owner died) is the
 /// deregistration protocol — no unregister call, no dangling task.
 class IdleTask {
@@ -206,11 +216,12 @@ class IdleTask {
 /// (NVC_FLUSH_WORKERS, default 1 = the original single-worker behavior),
 /// each the *home* of a subset of channels assigned round-robin at open
 /// time. Scheduling is doze-based — each worker sleeps in ~200 µs ticks and
-/// sweeps its home channels on each wake; producers only pay a
+/// sweeps its home channels once per wake; producers only pay a
 /// condition-variable poke to the home worker when a ring crosses its high
-/// watermark (sustained eviction storm). No per-push notify: a futex wake
-/// costs more than the flush it would hide, and drain()'s helping consumer
-/// already bounds the worst-case latency.
+/// watermark (sustained eviction storm), and only that poke makes the worker
+/// keep polling its rings for a spin window afterwards. No per-push notify:
+/// a futex wake costs more than the flush it would hide, and drain()'s
+/// helping consumer already bounds the worst-case latency.
 ///
 /// Work stealing: a worker whose own sweep came up empty helps pop any
 /// other channel's ring, and a producer blocked in wait_drained() while the

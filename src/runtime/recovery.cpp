@@ -50,9 +50,15 @@ void LineVerifyTable::note_commit(std::size_t idx,
 
 bool LineVerifyTable::verify(std::size_t idx,
                              const void* line_bytes) const noexcept {
-  if (!checkable(idx)) return true;
+  if (idx >= slots_.size()) return true;
   const std::uint64_t v = slots_[idx].load(std::memory_order_acquire);
-  return static_cast<std::uint32_t>(v) == crc32c(line_bytes, kCacheLineSize);
+  if ((v & kKnown) == 0 || (v & kDirty) != 0) return true;
+  const std::uint32_t crc = crc32c(line_bytes, kCacheLineSize);
+  // Pairs with mark_dirty's release fence: if the hash read any byte of a
+  // store that began after the load above, the re-read sees its dirty mark.
+  std::atomic_thread_fence(std::memory_order_acquire);
+  if (slots_[idx].load(std::memory_order_relaxed) != v) return true;
+  return static_cast<std::uint32_t>(v) == crc;
 }
 
 const char* to_string(SegmentOutcome outcome) {

@@ -55,10 +55,13 @@ class LineVerifyTable {
   std::size_t lines() const noexcept { return slots_.size(); }
 
   /// A store touched this line inside (or outside) a FASE: suppress checks
-  /// until the next commit publishes a fresh checksum.
+  /// until the next commit publishes a fresh checksum. Call it *before*
+  /// writing the line: the release fence orders the mark ahead of the
+  /// store's bytes, so a verify() that hashed any of them sees the mark.
   void mark_dirty(std::size_t idx) noexcept {
     if (idx < slots_.size()) {
       slots_[idx].fetch_or(kDirty, std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_release);
     }
   }
 
@@ -73,7 +76,10 @@ class LineVerifyTable {
     return (v & kKnown) != 0 && (v & kDirty) == 0;
   }
 
-  /// Verify the line's current bytes; true = pass (or not checkable).
+  /// Verify the line's current bytes; true = pass (or not checkable). The
+  /// slot is re-read after hashing, seqlock-style: a line whose slot moved
+  /// meanwhile (a store marked it dirty, or a commit republished it) is not
+  /// checkable, so bytes torn by a concurrent store never count as corrupt.
   bool verify(std::size_t idx, const void* line_bytes) const noexcept;
 
  private:

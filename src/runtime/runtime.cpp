@@ -582,6 +582,10 @@ void Runtime::pstore(void* dst, const void* src, std::size_t len) {
       }
     }
   }
+  // Dirty the verify-table lines *before* the write: a scrub slice running
+  // concurrently must never hash the new bytes against the old commit's
+  // checksum (LineVerifyTable::verify re-reads the slot after hashing).
+  if (verify_table_ != nullptr) mark_unverified(c, dst, len);
   std::memcpy(dst, src, len);
   pwrote_in(c, dst, len);
 }
@@ -596,29 +600,35 @@ void Runtime::persist_barrier() {
 
 void Runtime::pwrote(const void* addr, std::size_t len) {
   NVC_REQUIRE(len > 0);
-  pwrote_in(ctx(), addr, len);
+  ThreadContext& c = ctx();
+  // Report-only: the bytes already landed, so a scrub slice may have hashed
+  // them before this marks the lines dirty (DESIGN.md §14).
+  if (verify_table_ != nullptr) mark_unverified(c, addr, len);
+  pwrote_in(c, addr, len);
+}
+
+void Runtime::mark_unverified(ThreadContext& c, const void* addr,
+                              std::size_t len) {
+  // NVC_VERIFY_DATA: dirty every touched line (suppressing scrub checks
+  // while content is in flight). Lines touched inside a FASE are recorded
+  // so fase_end can publish their checksums at the commit point; stores
+  // outside any FASE leave the line permanently dirty — there is no commit
+  // whose content a checksum could vouch for.
+  const auto a = reinterpret_cast<PmAddr>(addr);
+  const auto base = reinterpret_cast<PmAddr>(allocator_->region().base());
+  if (a < base || a + len > base + allocator_->region().size()) return;
+  const LineAddr base_line = line_of(base);
+  for (LineAddr line = line_of(a); line <= line_of(a + len - 1); ++line) {
+    const auto idx = static_cast<std::size_t>(line - base_line);
+    verify_table_->mark_dirty(idx);
+    if (c.fase_depth > 0) c.touched_lines.push_back(idx);
+  }
 }
 
 void Runtime::pwrote_in(ThreadContext& c, const void* addr, std::size_t len) {
   const auto a = reinterpret_cast<PmAddr>(addr);
   const LineAddr first = line_of(a);
   const LineAddr last = line_of(a + len - 1);
-  if (verify_table_ != nullptr) {
-    // NVC_VERIFY_DATA: dirty every touched line (suppressing scrub checks
-    // while content is in flight). Lines touched inside a FASE are recorded
-    // so fase_end can publish their checksums at the commit point; stores
-    // outside any FASE leave the line permanently dirty — there is no commit
-    // whose content a checksum could vouch for.
-    const auto base = reinterpret_cast<PmAddr>(allocator_->region().base());
-    if (a >= base && a + len <= base + allocator_->region().size()) {
-      const LineAddr base_line = line_of(base);
-      for (LineAddr line = first; line <= last; ++line) {
-        const auto idx = static_cast<std::size_t>(line - base_line);
-        verify_table_->mark_dirty(idx);
-        if (c.fase_depth > 0) c.touched_lines.push_back(idx);
-      }
-    }
-  }
   core::FlushSink& sink = c.data_sink();
   for (LineAddr line = first; line <= last; ++line) {
     c.policy->on_store(line, sink);

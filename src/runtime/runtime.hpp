@@ -108,7 +108,7 @@ struct RuntimeConfig {
 
   /// Online scrubbing (NVC_SCRUB=1, DESIGN.md §14): register a background
   /// Scrubber on the flush-worker pool's idle hook — it re-reads the image
-  /// when the write-back rings are empty, repairs detectably corrupt
+  /// whenever a pool worker goes idle, repairs detectably corrupt
   /// metadata from redundant copies, and quarantines lines the fault
   /// model marks bad. Requires nothing else; combines with verify_data for
   /// data-line checking.
@@ -205,7 +205,10 @@ class Runtime {
   }
 
   /// Report-only variant: the caller already wrote [addr, addr+len) (e.g.
-  /// via a library like memcpy) and needs it tracked for persistence.
+  /// via a library like memcpy) and needs it tracked for persistence. With
+  /// verify_data on, a concurrent scrub slice can hash the new bytes before
+  /// this call dirties their lines and count a false mismatch; pstore has
+  /// no such window (DESIGN.md §14).
   void pwrote(const void* addr, std::size_t len);
 
   /// Mid-FASE persistence barrier: flush everything this thread's policy
@@ -263,7 +266,11 @@ class Runtime {
 
   ThreadContext& ctx();
   ThreadContext& ctx_slow();
+  /// Report [addr, addr+len) to the caching policy.
   void pwrote_in(ThreadContext& c, const void* addr, std::size_t len);
+  /// Dirty the store's verify-table lines and record them for the commit
+  /// (NVC_VERIFY_DATA only; callers test verify_table_).
+  void mark_unverified(ThreadContext& c, const void* addr, std::size_t len);
   void maybe_degrade(ThreadContext& c);
   /// Publish commit-time checksums for the FASE's touched lines
   /// (NVC_VERIFY_DATA; no-op otherwise).

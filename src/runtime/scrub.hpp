@@ -1,7 +1,8 @@
 // Online scrubbing (DESIGN.md §14): a background pass that re-reads the
 // persistent image while the runtime serves traffic, piggybacked on the
-// flush-worker pool's idle hook (core::IdleTask) so it costs nothing while
-// write-back rings hold work.
+// flush-worker pool's idle hook (core::IdleTask): a slice runs each time a
+// pool worker goes idle — after every doze-tick sweep, never inside an
+// eviction storm's spin window.
 //
 // Each slice (one idle_step) does a bounded amount of work:
 //

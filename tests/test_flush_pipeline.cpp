@@ -97,6 +97,27 @@ TEST(FlushChannel, WorkerDrainsWithoutProducerHelp) {
   channel->close();
 }
 
+TEST(FlushChannel, TickSweepRetiresUnpokedLines) {
+  // No request_wake and no drain: lines below the watermark reach the media
+  // only through the worker's periodic tick sweep, which must still run
+  // even though a tick wake does not open the spin window.
+  RecordingSink record;
+  FlushWorker pool(1);
+  auto channel =
+      pool.open_channel(std::make_unique<ForwardSink>(&record), 64);
+  for (LineAddr l = 1; l <= 3; ++l) ASSERT_TRUE(channel->try_push(l));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (channel->flushed() < 3 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(channel->flushed(), 3u);
+  EXPECT_EQ(pool.worker_flushes(), 3u);
+  EXPECT_EQ(record.snapshot(), (std::vector<LineAddr>{1, 2, 3}));
+  channel->close();
+}
+
 TEST(AsyncFlushSink, RingOverflowFallsBackToLocalSynchronousFlush) {
   RecordingSink record;
   auto channel = FlushWorker::shared().open_channel(

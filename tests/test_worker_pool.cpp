@@ -211,28 +211,41 @@ TEST(FlushPool, IdleWorkerStealsWedgedHomesBacklog) {
   ASSERT_EQ(other->home(), 1u);
   ASSERT_EQ(victim->home(), 0u);
 
-  // Wedge worker 0 inside the gated flush of its own channel.
+  // Wedge a worker inside the gated flush. Usually that is worker 0, which
+  // the poke wakes, but worker 1's tick sweep may steal the line first.
+  // Either way exactly one worker is wedged; which one is read back from
+  // the channel once the gate opens.
   ASSERT_TRUE(wedged->try_push(1));
   wedged->request_wake();
   ASSERT_TRUE(wait_until(
       [&] { return gate->entered.load(std::memory_order_acquire); }))
-      << "worker 0 never picked up the gated line";
+      << "no worker picked up the gated line";
 
-  // Backlog on a channel homed on the wedged worker; nobody drains it on
-  // the producer side, so only worker 1's steal sweep can retire it.
+  // Backlog on a channel homed on each worker; nobody drains them on the
+  // producer side, so the wedged worker's share can only be retired by the
+  // other worker's steal sweep.
   constexpr std::uint64_t kStolen = 8;
   for (LineAddr l = 100; l < 100 + kStolen; ++l) {
     ASSERT_TRUE(victim->try_push(l));
+    ASSERT_TRUE(other->try_push(l + 100));
   }
   victim->request_wake();
-  ASSERT_TRUE(wait_until([&] { return victim->flushed() == kStolen; }))
-      << "idle worker never stole the wedged home's backlog";
-  EXPECT_GE(pool.steals(), kStolen);
-  EXPECT_EQ(victim->last_flush_worker(), 1u);
+  other->request_wake();
+  ASSERT_TRUE(wait_until([&] {
+    return victim->flushed() == kStolen && other->flushed() == kStolen;
+  })) << "idle worker never stole the wedged home's backlog";
+  // A sweep publishes its steal count after its whole steal pass, i.e. a
+  // little after the last stolen line's flushed count.
+  EXPECT_TRUE(wait_until([&] { return pool.steals() >= kStolen; }))
+      << "steals: " << pool.steals();
 
   gate->release.store(true, std::memory_order_release);
   wedged->wait_drained();
   EXPECT_EQ(wedged->flushed(), 1u);
+  const std::uint32_t stuck = wedged->last_flush_worker();
+  ASSERT_LT(stuck, 2u);
+  const auto& stolen_from = stuck == 0 ? victim : other;
+  EXPECT_EQ(stolen_from->last_flush_worker(), 1u - stuck);
   for (auto* ch : {&other, &victim}) {
     (*ch)->wait_drained();
     (*ch)->close();
@@ -256,6 +269,49 @@ TEST(FlushPool, SingleWorkerPoolNeverSteals) {
   EXPECT_EQ(pool.steals(), 0u);
   a->close();
   b->close();
+}
+
+// --- idle hook ----------------------------------------------------------------
+
+struct CountingIdleTask final : IdleTask {
+  bool idle_step() override {
+    steps.fetch_add(1, std::memory_order_relaxed);
+    return true;
+  }
+  std::atomic<std::uint64_t> steps{0};
+};
+
+TEST(FlushPool, IdleTaskRunsBetweenSmallUnpokedCommits) {
+  // The queue-hardened shape: back-to-back tiny FASEs, each pushing two
+  // lines, computing for a couple of microseconds and draining, never
+  // reaching the watermark. Without a poke the worker must not spin on the
+  // rings (a spinning worker finds those lines on nearly every poll and so
+  // never counts as idle); it goes idle after each tick sweep and the idle
+  // hook (the scrubber's slot) keeps getting steps.
+  FlushWorker pool(1);
+  auto task = std::make_shared<CountingIdleTask>();
+  pool.register_idle_task(task);
+  RecordingSink record;
+  auto ch = pool.open_channel(std::make_unique<ForwardSink>(&record), 64);
+  const auto until =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(300);
+  LineAddr next = 1;
+  while (std::chrono::steady_clock::now() < until) {
+    ASSERT_TRUE(ch->try_push(next++));
+    ASSERT_TRUE(ch->try_push(next++));
+    const auto compute_until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+    while (std::chrono::steady_clock::now() < compute_until) {
+    }
+    ch->wait_drained();
+  }
+  // ~1500 doze ticks fit in the run. An idle-after-tick worker goes idle on
+  // most of them; a worker spinning on the unpoked ring only when a 50 us
+  // spin window finds nothing, i.e. when the producer is off its CPU.
+  EXPECT_GE(task->steps.load(std::memory_order_relaxed), 150u)
+      << "the worker rarely went idle while the producer ran";
+  EXPECT_EQ(ch->flushed(), next - 1);
+  ch->close();
 }
 
 TEST(FlushPool, ManualChannelInvisibleToEveryPoolSize) {
