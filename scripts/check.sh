@@ -9,11 +9,16 @@
 #                                 `ctest -L recovery`)
 #                               + the recovery tier again in an NVC_NO_SIMD
 #                                 build (table CRC32C fallback)
+#                               + a tsan build of the suites that drive the
+#                                 shared write-back path against a real
+#                                 flush worker (fault injection, crash
+#                                 matrix, runtime)
 #                               + the bench regression gate when a fresh
 #                                 BENCH_micro.json exists at the repo root
 #
 # Flags / env:
 #   --no-asan        skip the asan policy tier (e.g. hosts without the rt)
+#   --no-tsan        skip the tsan write-back-path suites
 #   --no-bench       skip the compare.py gate
 #   CTEST_PARALLEL   ctest -j value (default: nproc)
 set -euo pipefail
@@ -21,12 +26,15 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 jobs="${CTEST_PARALLEL:-$(nproc)}"
 run_asan=1
+run_tsan=1
 run_bench=1
 for arg in "$@"; do
   case "$arg" in
     --no-asan) run_asan=0 ;;
+    --no-tsan) run_tsan=0 ;;
     --no-bench) run_bench=0 ;;
-    *) echo "usage: scripts/check.sh [--no-asan] [--no-bench]" >&2; exit 2 ;;
+    *) echo "usage: scripts/check.sh [--no-asan] [--no-tsan] [--no-bench]" >&2
+       exit 2 ;;
   esac
 done
 
@@ -69,6 +77,19 @@ cmake -B build-nosimd -S . -DNVC_NO_SIMD=ON -DNVC_BUILD_BENCH=OFF \
 cmake --build build-nosimd -j "$(nproc)" \
     --target test_recovery_units test_recovery_fuzz
 ctest --test-dir build-nosimd -L recovery -j "$jobs" --output-on-failure
+
+# Runtime and crash rig share one WritebackPath; these suites run it against
+# the real flush worker (fault latches, async crash matrix, runtime
+# threads), so the producer/worker handoffs get a ThreadSanitizer pass.
+if [ "$run_tsan" = 1 ]; then
+  echo "== tsan: write-back path suites (fault, crash matrix, runtime) =="
+  cmake --preset tsan -DNVC_BUILD_BENCH=OFF -DNVC_BUILD_EXAMPLES=OFF >/dev/null
+  cmake --build build-tsan -j "$(nproc)" \
+      --target test_fault_injection test_crash_matrix test_runtime
+  for suite in test_fault_injection test_crash_matrix test_runtime; do
+    ./build-tsan/tests/"$suite"
+  done
+fi
 
 if [ "$run_bench" = 1 ]; then
   if [ -f BENCH_micro.json ]; then

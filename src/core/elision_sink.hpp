@@ -4,11 +4,11 @@
 // ElidingSink sits on the application-thread write-back path, directly
 // below the LogOrderedSink (the log sync for a data line must run whether
 // or not the media write is elided — the log-before-data invariant of §7
-// is decided above this layer). It consults announce() per line: owners
-// forward to the inner sink (a synchronous backend sink, or the
-// AsyncFlushSink feeding the flush-behind ring), elided lines are skipped
-// and remembered. drain() — the commit-point barrier — re-checks every
-// line elided since the last drain: one still pending means the owning
+// is decided above this layer) and directly above the AsyncFlushSink that
+// feeds the flush-behind ring. It consults announce() per line: owners
+// forward to the ring, elided lines are skipped and remembered. drain() —
+// the commit-point barrier — re-checks every line elided since the last
+// drain: one still pending means the owning
 // write-back has not started yet (it may live in another thread's ring,
 // which our drain ticket does not cover), so the line is flushed locally
 // before the commit proceeds. This closes the cross-thread durability
@@ -19,9 +19,13 @@
 // RetiringSink is the executor-side counterpart: it retires the line
 // immediately BEFORE forwarding to the real write-back — the
 // decrement-before-write order the table's soundness argument requires.
-// In the flush-behind composition it wraps the worker-side sink inside
-// the FlushChannel (below the ring, above FaultTolerantSink/IssueSink);
-// in the synchronous composition ElidingSink retires inline.
+// It wraps the worker-side sink inside the FlushChannel (below the ring,
+// above FaultTolerantSink/IssueSink) and the ring-full fallback.
+//
+// There is no synchronous composition: a write-back executed inline
+// retires right after its own announce, so an eliding stage over a
+// synchronous sink would never elide. runtime::WritebackPath installs
+// ElidingSink only over a ring.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +46,7 @@ class RetiringSink final : public FlushSink {
       : owned_(std::move(inner)), inner_(owned_.get()),
         table_(std::move(table)) {}
 
-  /// Non-owning inner (application-thread/rig paths).
+  /// Non-owning inner (the application thread's ring-full fallback).
   RetiringSink(FlushSink* inner, std::shared_ptr<FlushElisionTable> table)
       : inner_(inner), table_(std::move(table)) {}
 
@@ -59,20 +63,16 @@ class RetiringSink final : public FlushSink {
 };
 
 /// Producer-side decorator: skip write-backs that are already scheduled.
+/// `inner` is an AsyncFlushSink; the write-backs it schedules retire
+/// through RetiringSinks on the worker side and on its ring-full fallback.
 class ElidingSink final : public FlushSink {
  public:
-  /// `immediate`: the inner sink executes the write-back synchronously
-  /// inside flush_line (no ring below), so the owner retires inline right
-  /// before forwarding. With a ring below (AsyncFlushSink inner), pass
-  /// false and wrap the worker-side sink in a RetiringSink instead.
-  ElidingSink(FlushSink* inner, std::shared_ptr<FlushElisionTable> table,
-              bool immediate)
-      : inner_(inner), table_(std::move(table)), immediate_(immediate) {}
+  ElidingSink(FlushSink* inner, std::shared_ptr<FlushElisionTable> table)
+      : inner_(inner), table_(std::move(table)) {}
 
   bool flush_line(LineAddr line) override {
     switch (table_->announce(line)) {
       case FlushElisionTable::Announce::kOwner:
-        if (immediate_) table_->retire(line);
         return inner_->flush_line(line);
       case FlushElisionTable::Announce::kElided:
         if (elided_.size() >= kMaxTracked) {
@@ -120,7 +120,6 @@ class ElidingSink final : public FlushSink {
 
   FlushSink* inner_;
   std::shared_ptr<FlushElisionTable> table_;
-  bool immediate_;
   /// Lines elided since the last drain (producer-thread private).
   std::vector<LineAddr> elided_;
   std::uint64_t elided_count_ = 0;

@@ -51,10 +51,12 @@ FaultTolerantSink::FaultTolerantSink(FlushSink* inner, FaultStats* stats,
 }
 
 FaultTolerantSink::FaultTolerantSink(std::unique_ptr<FlushSink> inner,
-                                     FaultStats* stats, RetryPolicy policy)
+                                     std::shared_ptr<FaultStats> stats,
+                                     RetryPolicy policy)
     : owned_(std::move(inner)),
+      owned_stats_(std::move(stats)),
       inner_(owned_.get()),
-      stats_(stats),
+      stats_(owned_stats_.get()),
       policy_(policy) {
   NVC_REQUIRE(inner_ != nullptr && stats_ != nullptr);
 }

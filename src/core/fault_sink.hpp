@@ -100,10 +100,10 @@ class FaultTolerantSink final : public FlushSink {
   /// Non-owning inner (application-thread paths).
   FaultTolerantSink(FlushSink* inner, FaultStats* stats, RetryPolicy policy);
 
-  /// Owning inner (worker-side: the FlushChannel owns this sink, which in
-  /// turn owns the forwarding sink it retries through).
-  FaultTolerantSink(std::unique_ptr<FlushSink> inner, FaultStats* stats,
-                    RetryPolicy policy);
+  /// Owning (worker-side: the FlushChannel owns this sink and may outlive
+  /// the runtime, so the sink shares ownership of the stats too).
+  FaultTolerantSink(std::unique_ptr<FlushSink> inner,
+                    std::shared_ptr<FaultStats> stats, RetryPolicy policy);
 
   bool flush_line(LineAddr line) override;
   void drain() override { inner_->drain(); }
@@ -112,6 +112,7 @@ class FaultTolerantSink final : public FlushSink {
 
  private:
   std::unique_ptr<FlushSink> owned_;
+  std::shared_ptr<FaultStats> owned_stats_;
   FlushSink* inner_;
   FaultStats* stats_;
   RetryPolicy policy_;

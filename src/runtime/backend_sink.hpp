@@ -3,7 +3,10 @@
 // backend's own counters keep the per-thread flush/fence accounting.
 #pragma once
 
+#include <memory>
+
 #include "core/write_cache.hpp"
+#include "pmem/fault.hpp"
 #include "pmem/flush.hpp"
 
 namespace nvc::runtime {
@@ -43,7 +46,15 @@ class IssueSink final : public core::FlushSink {
   const pmem::FlushBackend& backend() const noexcept { return backend_; }
   pmem::FlushBackend& backend() noexcept { return backend_; }
 
+  /// Shares ownership of the injector: the channel owning this sink may
+  /// outlive the runtime that created it.
+  void set_fault_injector(std::shared_ptr<pmem::FaultInjector> injector) {
+    injector_ = std::move(injector);
+    backend_.set_fault_injector(injector_.get());
+  }
+
  private:
+  std::shared_ptr<pmem::FaultInjector> injector_;
   pmem::FlushBackend backend_;
 };
 

@@ -7,13 +7,11 @@
 #include <unordered_map>
 
 #include "common/assert.hpp"
-#include "core/elision_sink.hpp"
-#include "core/fault_sink.hpp"
 #include "core/flush_pipeline.hpp"
-#include "core/log_ordered_sink.hpp"
 #include "pmem/wear.hpp"
 #include "runtime/backend_sink.hpp"
 #include "runtime/scrub.hpp"
+#include "runtime/writeback_path.hpp"
 
 namespace nvc::runtime {
 
@@ -24,87 +22,13 @@ std::uint64_t next_instance_id() {
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-/// The retry schedule the core fault-tolerant sinks run with, copied from
-/// the (pmem-side) fault config so one env surface controls both layers.
-core::RetryPolicy retry_policy(const RuntimeConfig& config) {
-  return core::RetryPolicy{config.fault.max_retries, config.fault.backoff_ns,
-                           config.fault.backoff_cap_ns};
-}
-
-/// Worker-side sink for fault mode: retry/quarantine wrapped around the
-/// channel's IssueSink. It keeps shared ownership of the injector and the
-/// per-thread FaultStats because the FlushChannel that owns this sink may
-/// outlive both the ThreadContext and the Runtime (see open_flush_channel).
-struct WorkerFaultSink final : core::FlushSink {
-  WorkerFaultSink(std::unique_ptr<IssueSink> issue,
-                  std::shared_ptr<pmem::FaultInjector> injector,
-                  std::shared_ptr<core::FaultStats> stats,
-                  core::RetryPolicy policy)
-      : injector_(std::move(injector)),
-        stats_(std::move(stats)),
-        issue_(std::move(issue)),
-        ft_(issue_.get(), stats_.get(), policy) {
-    issue_->backend().set_fault_injector(injector_.get());
-  }
-  bool flush_line(LineAddr line) override { return ft_.flush_line(line); }
-  void drain() override { ft_.drain(); }
-
-  std::shared_ptr<pmem::FaultInjector> injector_;
-  std::shared_ptr<core::FaultStats> stats_;
-  std::unique_ptr<IssueSink> issue_;
-  core::FaultTolerantSink ft_;
-};
-
-/// Open this thread's ring to the shared flush worker. The channel owns the
-/// worker-side IssueSink (posted write-backs, private backend) so it stays
-/// valid even if the worker still holds the channel after the runtime dies.
-std::shared_ptr<core::FlushChannel> open_flush_channel(
-    const RuntimeConfig& config,
-    const std::shared_ptr<pmem::FaultInjector>& injector,
-    const std::shared_ptr<core::FaultStats>& faults,
-    const std::shared_ptr<pmem::WearTracker>& wear,
-    const std::shared_ptr<core::FlushElisionTable>& elision) {
-  if (!config.async_flush) return nullptr;
-  // Sanitize the configured depth (it arrives from NVC_FLUSH_QUEUE in the
-  // harness): clamp to a sane range and round up to the power of two the
-  // ring requires, instead of aborting on a typo.
-  std::size_t depth = config.flush_queue_depth;
-  if (depth < 16) depth = 16;
-  if (depth > (std::size_t{1} << 20)) depth = std::size_t{1} << 20;
-  depth = std::bit_ceil(depth);
-  auto issue =
-      std::make_unique<IssueSink>(config.flush, config.simulated_flush_ns);
-  // The worker backend shares ownership of the tracker (this channel may
-  // outlive the Runtime); its recordings go through the tracker's atomics,
-  // never its plain counters, so stats() stays race-free.
-  if (wear != nullptr) issue->backend().set_wear_tracker(wear);
-  std::unique_ptr<core::FlushSink> sink;
-  // `faults` is only allocated for an armed injector (one that can actually
-  // fire). An attached-but-idle injector keeps its hooks on the
-  // application-thread backends but not here: the worker sink would need
-  // shared ownership purely to consult a branch that always says kOk.
-  if (injector != nullptr && faults != nullptr) {
-    sink = std::make_unique<WorkerFaultSink>(std::move(issue), injector,
-                                             faults, retry_policy(config));
-  } else {
-    sink = std::move(issue);
-  }
-  if (elision != nullptr) {
-    // Decrement-before-write: the pending count clears where the write-back
-    // actually executes, above retries (a retried line stays retired — any
-    // elider that raced in meanwhile became an owner and rescheduled).
-    sink = std::make_unique<core::RetiringSink>(std::move(sink), elision);
-  }
-  return core::FlushWorker::shared().open_channel(std::move(sink), depth);
-}
-
 /// Device timing model for the async sink: active only when the backend
 /// resolves to the simulated kind (hardware kinds self-time). Occupancy
 /// defaults to a quarter of the full write latency — a pipelined device
 /// accepts lines ~4x faster than one synchronous strongly-ordered flush
 /// completes (see DESIGN.md §8).
-core::AsyncFlushSink::DeviceModel device_model(const RuntimeConfig& config) {
-  core::AsyncFlushSink::DeviceModel model;
+core::FlushDeviceModel device_model(const RuntimeConfig& config) {
+  core::FlushDeviceModel model;
   const pmem::FlushBackend probe(config.flush, config.simulated_flush_ns);
   if (probe.kind() == pmem::FlushKind::kSimulated) {
     model.latency_ns = config.simulated_flush_ns;
@@ -116,6 +40,53 @@ core::AsyncFlushSink::DeviceModel device_model(const RuntimeConfig& config) {
   return model;
 }
 
+/// The context's write-back route over its backend sinks and log. With
+/// async_flush it opens the thread's ring to the shared flush worker; the
+/// channel owns the worker-side stack (posted write-backs, private backend)
+/// so it stays valid even if the worker holds it after the runtime dies.
+WritebackPath make_writeback_path(
+    const RuntimeConfig& config,
+    const std::shared_ptr<pmem::FaultInjector>& injector,
+    const std::shared_ptr<pmem::WearTracker>& wear,
+    const std::shared_ptr<core::FlushElisionTable>& elision,
+    BackendSink* data, BackendSink* log_sink, UndoLog* log) {
+  // The retry/quarantine layer arms only when the injector can actually
+  // fire. An attached-but-idle injector (NVC_FAULT_ATTACH with every rate
+  // zero) keeps the application-thread backend hooks in place — that is
+  // what BM_PstoreFaseFaultIdle prices — but a retry of a flush that
+  // cannot fail is dead weight on every write-back.
+  auto faults = injector != nullptr && !injector->idle()
+                    ? std::make_shared<core::FaultStats>()
+                    : nullptr;
+  std::shared_ptr<core::FlushChannel> channel;
+  if (config.async_flush) {
+    // Sanitize the configured depth (it arrives from NVC_FLUSH_QUEUE in the
+    // harness): clamp to a sane range and round up to the power of two the
+    // ring requires, instead of aborting on a typo.
+    const std::size_t depth = std::bit_ceil(std::clamp<std::size_t>(
+        config.flush_queue_depth, 16, std::size_t{1} << 20));
+    auto issue =
+        std::make_unique<IssueSink>(config.flush, config.simulated_flush_ns);
+    // The worker backend shares ownership of the tracker (this channel may
+    // outlive the Runtime); its recordings go through the tracker's
+    // atomics, never its plain counters, so stats() stays race-free.
+    if (wear != nullptr) issue->backend().set_wear_tracker(wear);
+    if (faults != nullptr) issue->set_fault_injector(injector);
+    channel = core::FlushWorker::shared().open_channel(
+        make_worker_sink(std::move(issue), faults, retry_policy(config.fault),
+                         elision),
+        depth);
+  }
+  return WritebackPath({.data = data,
+                        .log_sink = log_sink,
+                        .log = log,
+                        .faults = std::move(faults),
+                        .retry = retry_policy(config.fault),
+                        .elision = elision,
+                        .channel = std::move(channel),
+                        .device = device_model(config)});
+}
+
 }  // namespace
 
 struct Runtime::ThreadContext {
@@ -123,74 +94,19 @@ struct Runtime::ThreadContext {
                 void* log_base,
                 const std::shared_ptr<pmem::FaultInjector>& injector,
                 const std::shared_ptr<pmem::WearTracker>& wear,
-                const std::shared_ptr<core::FlushElisionTable>& elision_table)
+                const std::shared_ptr<core::FlushElisionTable>& elision)
       : slot(slot_index),
         backend(config.flush, config.simulated_flush_ns),
         log_backend(config.flush, config.simulated_flush_ns),
         sink(&backend),
         log_sink(&log_backend),
-        // The retry/quarantine layer arms only when the injector can
-        // actually fire. An attached-but-idle injector (NVC_FAULT_ATTACH
-        // with every rate zero) keeps the backend hooks in place — that is
-        // what BM_PstoreFaseFaultIdle prices — but a retry of a flush that
-        // cannot fail is dead weight on every write-back.
-        faults(injector != nullptr && !injector->idle()
-                   ? std::make_shared<core::FaultStats>()
-                   : nullptr),
-        ft_data(faults != nullptr
-                    ? std::make_unique<core::FaultTolerantSink>(
-                          &sink, faults.get(), retry_policy(config))
-                    : nullptr),
-        ft_log(faults != nullptr
-                   ? std::make_unique<core::FaultTolerantSink>(
-                         &log_sink, faults.get(), retry_policy(config))
-                   : nullptr),
         policy(core::make_policy(config.policy, config.policy_config)),
         log(log_base != nullptr
-                ? std::make_unique<UndoLog>(
-                      log_base, config.log_segment_size,
-                      ft_log != nullptr
-                          ? static_cast<core::FlushSink*>(ft_log.get())
-                          : &log_sink,
-                      config.log_sync)
+                ? std::make_unique<UndoLog>(log_base, config.log_segment_size,
+                                            &log_sink, config.log_sync)
                 : nullptr),
-        flush_channel(
-            open_flush_channel(config, injector, faults, wear, elision_table)),
-        retiring_fallback(
-            flush_channel != nullptr && elision_table != nullptr
-                ? std::make_unique<core::RetiringSink>(sync_data(),
-                                                       elision_table)
-                : nullptr),
-        async_sink(flush_channel != nullptr
-                       ? std::make_unique<core::AsyncFlushSink>(
-                             flush_channel,
-                             retiring_fallback != nullptr
-                                 ? static_cast<core::FlushSink*>(
-                                       retiring_fallback.get())
-                                 : sync_data(),
-                             device_model(config))
-                       : nullptr),
-        elision(elision_table),
-        eliding_sink(elision != nullptr
-                         ? std::make_unique<core::ElidingSink>(
-                               async_sink != nullptr
-                                   ? static_cast<core::FlushSink*>(
-                                         async_sink.get())
-                                   : sync_data(),
-                               elision,
-                               /*immediate=*/async_sink == nullptr)
-                         : nullptr),
-        ordered_sink(eliding_sink != nullptr
-                         ? static_cast<core::FlushSink*>(eliding_sink.get())
-                         : (async_sink != nullptr
-                                ? static_cast<core::FlushSink*>(
-                                      async_sink.get())
-                                : sync_data()),
-                     log.get()),
-        ordered_sync(async_sink != nullptr && faults != nullptr
-                         ? std::make_unique<core::LogOrderedSink>(sync_data(),
-                                                                  log.get())
-                         : nullptr) {
+        path(make_writeback_path(config, injector, wear, elision, &sink,
+                                 &log_sink, log.get())) {
     if (injector != nullptr) {
       backend.set_fault_injector(injector.get());
       log_backend.set_fault_injector(injector.get());
@@ -201,83 +117,22 @@ struct Runtime::ThreadContext {
     }
   }
 
-  /// The synchronous data path: the retrying decorator when faults are on,
-  /// else the bare backend sink. Used directly (sync mode), as the async
-  /// sink's local overflow/fallback sink, and as the degraded route.
-  core::FlushSink* sync_data() noexcept {
-    return ft_data != nullptr ? static_cast<core::FlushSink*>(ft_data.get())
-                              : &sink;
-  }
-
-  /// The sink policies flush into. With a log, data flushes are routed
-  /// through the ordering decorator so log entries are durable before any
-  /// line they cover (the batched-mode invariant; a cheap no-op in strict
-  /// mode, where record() already synced). The decorator wraps the async
-  /// sink when the flush-behind pipeline is on — the log sync therefore
-  /// happens at *enqueue* time, before a line can enter the ring. Once the
-  /// async→sync degradation latch fires, traffic reroutes to the ordered
-  /// synchronous (retrying) path and the ring is never fed again.
-  core::FlushSink& data_sink() noexcept {
-    if (flush_degraded) {
-      // Degraded route bypasses elision: the medium is already misbehaving,
-      // so every write-back goes straight to the retrying synchronous path.
-      if (ordered_sync) return *ordered_sync;
-      return *sync_data();  // no log: plain retrying synchronous path
-    }
-    if (log) return ordered_sink;
-    if (eliding_sink) return *eliding_sink;
-    if (async_sink) return *async_sink;
-    return *sync_data();
-  }
-
   std::size_t slot;
   pmem::FlushBackend backend;      // data-line flushes (the paper's metric)
   pmem::FlushBackend log_backend;  // undo-log persistence traffic
   BackendSink sink;
   BackendSink log_sink;
-  // Fault tolerance (all null in fault-free runs and under an idle
-  // injector — the hot path then touches none of this). `faults` is shared
-  // with the worker-side sink inside flush_channel, which may outlive this
-  // context.
-  std::shared_ptr<core::FaultStats> faults;
-  std::unique_ptr<core::FaultTolerantSink> ft_data;  // retry over sink
-  std::unique_ptr<core::FaultTolerantSink> ft_log;   // retry over log_sink
   std::unique_ptr<core::Policy> policy;
   std::unique_ptr<UndoLog> log;
-  /// Flush-behind pipeline state (async mode only). Declared before
-  /// ordered_sink (which points into async_sink) and destroyed after it;
-  /// the AsyncFlushSink destructor drains the ring while the data region
-  /// is still mapped (contexts die before the allocator in ~Runtime).
-  std::shared_ptr<core::FlushChannel> flush_channel;
-  /// Elision + async: the ring-full overflow fallback executes write-backs
-  /// locally, bypassing the worker-side RetiringSink, so the fallback sink
-  /// must retire too — every owner path retires exactly once, whichever
-  /// side performs the write.
-  std::unique_ptr<core::RetiringSink> retiring_fallback;
-  std::unique_ptr<core::AsyncFlushSink> async_sink;
-  /// Flush elision (NVC_ELIDE only; both null otherwise). The eliding sink
-  /// sits below the LogOrderedSink — the log sync for a line runs before
-  /// the elide/forward decision — and above the async sink/ring.
-  std::shared_ptr<core::FlushElisionTable> elision;
-  std::unique_ptr<core::ElidingSink> eliding_sink;
-  core::LogOrderedSink ordered_sink;
-  /// Degraded sync route (fault+async+log only): ordering decorator over
-  /// the retrying synchronous sink, bypassing the ring.
-  std::unique_ptr<core::LogOrderedSink> ordered_sync;
+  /// Declared after the sinks and log it routes into: its destructor
+  /// drains the flush ring while they (and the data region — contexts die
+  /// before the allocator in ~Runtime) are still alive.
+  WritebackPath path;
   std::uint32_t fase_depth = 0;
   /// Data-region line indices this FASE has touched (NVC_VERIFY_DATA only;
   /// stays empty otherwise). fase_end publishes their commit-time checksums
   /// into the shared LineVerifyTable after a successful log commit.
   std::vector<std::size_t> touched_lines;
-  // Graceful-degradation latches (one-way; evaluated at outermost
-  // fase_begin, except commit suspension which fires at fase_end):
-  bool flush_degraded = false;
-  bool log_degraded = false;
-  /// A quarantined line means some write-back of this context is
-  /// permanently lost; committing would truncate the undo records that
-  /// still cover it. Suspending commits pins recovery at the last good
-  /// commit, preserving all-or-nothing (data since then is sacrificed).
-  bool commit_suspended = false;
 };
 
 Runtime::Runtime(RuntimeConfig config)
@@ -291,7 +146,9 @@ Runtime::Runtime(RuntimeConfig config)
   if (config_.wear_tracking) {
     wear_ = std::make_shared<pmem::WearTracker>();
   }
-  if (config_.elide) {
+  if (config_.elide && config_.async_flush) {
+    // Elision dedups write-backs still queued in some ring; synchronous
+    // flushing queues nothing, so there is nothing to dedup.
     elision_ =
         std::make_shared<core::FlushElisionTable>(config_.elide_table_slots);
   }
@@ -386,9 +243,10 @@ Runtime::~Runtime() {
   {
     std::lock_guard<std::mutex> lock(contexts_mutex_);
     for (const auto& c : contexts_) {
-      if (c->flush_channel) c->flush_channel->wait_drained();
-      if (c->fase_depth != 0 || c->commit_suspended) quiescent = false;
-      if (c->faults != nullptr && c->faults->quarantined_count() > 0) {
+      if (c->path.channel()) c->path.channel()->wait_drained();
+      if (c->fase_depth != 0 || c->path.commit_suspended()) quiescent = false;
+      if (c->path.faults() != nullptr &&
+          c->path.faults()->quarantined_count() > 0) {
         quiescent = false;
       }
     }
@@ -471,37 +329,11 @@ void* Runtime::get_root() const {
   return allocator_->resolve(allocator_->root());
 }
 
-void Runtime::maybe_degrade(ThreadContext& c) {
-  if (c.faults == nullptr) return;
-  const bool trigger =
-      c.faults->quarantined_count() > 0 ||
-      c.faults->transients() >= config_.fault.degrade_after;
-  if (!trigger) return;
-  if (c.async_sink != nullptr && !c.flush_degraded) {
-    // Async→sync latch: drain the ring so no line is stranded behind the
-    // reroute, then send all further traffic through the synchronous
-    // retrying path. One-way — a misbehaving medium does not earn the
-    // pipeline back.
-    c.async_sink->drain();
-    c.flush_degraded = true;
-  }
-  if (c.log != nullptr && !c.log_degraded &&
-      c.log->mode() == LogSyncMode::kBatched) {
-    // Batched→strict latch: persist what is pending under the old
-    // discipline (best effort — a failure here surfaces as a transient and
-    // the per-record syncs retry the same range), then every record is
-    // durable before its pstore returns.
-    c.log->sync();
-    c.log->degrade_to_strict();
-    c.log_degraded = true;
-  }
-}
-
 void Runtime::fase_begin() {
   ThreadContext& c = ctx();
   if (c.fase_depth++ == 0) {
-    if (c.faults != nullptr) maybe_degrade(c);
-    c.policy->on_fase_begin(c.data_sink());
+    c.path.maybe_degrade(config_.fault.degrade_after);
+    c.policy->on_fase_begin(c.path.route());
   }
 }
 
@@ -509,18 +341,13 @@ void Runtime::fase_end() {
   ThreadContext& c = ctx();
   NVC_REQUIRE(c.fase_depth > 0, "fase_end without matching fase_begin");
   if (--c.fase_depth == 0) {
-    c.policy->on_fase_end(c.data_sink());
+    c.policy->on_fase_end(c.path.route());
     if (c.log) {
-      // Commit suspension: once any line of this context is quarantined,
-      // never move the commit point again (checked after the policy's
-      // flushes above, which is where quarantine verdicts land). Touched
-      // lines stay dirty in the verify table — their content was never
-      // committed, so no checksum may vouch for it.
-      if (c.commit_suspended) return;
-      if (c.faults != nullptr && c.faults->quarantined_count() > 0) {
-        c.commit_suspended = true;
-        return;
-      }
+      // Commit suspension is checked after the policy's flushes above,
+      // which is where quarantine verdicts land. Touched lines of a
+      // suspended commit stay dirty in the verify table — their content
+      // was never committed, so no checksum may vouch for it.
+      if (!c.path.commit_allowed()) return;
       if (c.log->commit()) publish_commit(c);  // atomic commit point
     } else {
       // No undo log: the FASE boundary itself is the commit point for
@@ -558,29 +385,8 @@ void Runtime::pstore(void* dst, const void* src, std::size_t len) {
                     piece);
       done += piece;
     }
-    if ((c.async_sink && !c.flush_degraded) || c.elision) {
-      // Write-after-enqueue hazard (DESIGN.md §8): if any line this store
-      // touches is still queued in the flush-behind ring, the background
-      // write-back may carry this store's new bytes — so this store's undo
-      // record must be durable before the data write below. If the log
-      // media rejects the sync, fall back to draining the ring: with no
-      // line of this store in flight, the hazard is gone. With elision
-      // (§13) the same hazard extends cross-thread: a line pending in the
-      // shared table may be carried by *another* context's scheduled
-      // write-back, so the pending probe joins the own-ring check.
-      const auto a = reinterpret_cast<PmAddr>(dst);
-      const LineAddr first = line_of(a);
-      const LineAddr last = line_of(a + len - 1);
-      const bool own_ring = c.async_sink && !c.flush_degraded;
-      for (LineAddr line = first; line <= last; ++line) {
-        const bool inflight = own_ring && c.async_sink->maybe_inflight(line);
-        const bool cross = c.elision && c.elision->pending(line);
-        if (inflight || cross) {
-          if (!c.log->sync() && own_ring) c.async_sink->drain();
-          break;
-        }
-      }
-    }
+    const auto a = reinterpret_cast<PmAddr>(dst);
+    c.path.before_store(line_of(a), line_of(a + len - 1));
   }
   // Dirty the verify-table lines *before* the write: a scrub slice running
   // concurrently must never hash the new bytes against the old commit's
@@ -595,7 +401,7 @@ void Runtime::persist_barrier() {
   // Flush everything the policy has buffered and drain — without signalling
   // a FASE boundary (the FASE stays open; the sampling policy's renamer
   // epoch and deferred resize application must not fire mid-FASE).
-  c.policy->flush_buffered(c.data_sink());
+  c.policy->flush_buffered(c.path.route());
 }
 
 void Runtime::pwrote(const void* addr, std::size_t len) {
@@ -629,7 +435,7 @@ void Runtime::pwrote_in(ThreadContext& c, const void* addr, std::size_t len) {
   const auto a = reinterpret_cast<PmAddr>(addr);
   const LineAddr first = line_of(a);
   const LineAddr last = line_of(a + len - 1);
-  core::FlushSink& sink = c.data_sink();
+  core::FlushSink& sink = c.path.route();
   for (LineAddr line = first; line <= last; ++line) {
     c.policy->on_store(line, sink);
   }
@@ -679,7 +485,7 @@ ScrubStats Runtime::scrub_stats() const {
 
 void Runtime::thread_flush() {
   ThreadContext& c = ctx();
-  c.policy->finish(c.data_sink());
+  c.policy->finish(c.path.route());
 }
 
 RuntimeStats Runtime::stats() const {
@@ -695,14 +501,14 @@ RuntimeStats Runtime::stats() const {
     s.bypassed_stores += pc.bypassed;
     s.flushes += c->backend.flush_count();
     s.fences += c->backend.fence_count();
-    if (c->flush_channel) {
+    if (const core::FlushChannel* channel = c->path.channel()) {
       // Lines written back through the flush-behind pipeline. The channel's
       // release-ordered counter is the authoritative count; the worker-side
       // backend's plain counters are never read here, so stats() cannot
       // race with an in-flight worker write-back. The app-side backend
       // above only counts overflow/sync flushes and fences, and is only
       // ever mutated by its owning thread.
-      s.flushes += c->flush_channel->flushed();
+      s.flushes += channel->flushed();
     }
     s.log_flushes += c->log_backend.flush_count();
     s.log_fences += c->log_backend.fence_count();
@@ -711,17 +517,15 @@ RuntimeStats Runtime::stats() const {
       s.log_bytes += c->log->bytes_logged();
       s.log_syncs += c->log->sync_points();
     }
-    if (c->faults) {
-      s.transient_faults += c->faults->transients();
-      s.flush_retries += c->faults->retries();
-      s.quarantined_lines += c->faults->quarantined_count();
-      s.flush_degrades += c->flush_degraded ? 1 : 0;
-      s.log_degrades += c->log_degraded ? 1 : 0;
+    if (const core::FaultStats* faults = c->path.faults()) {
+      s.transient_faults += faults->transients();
+      s.flush_retries += faults->retries();
+      s.quarantined_lines += faults->quarantined_count();
+      s.flush_degrades += c->path.flush_degraded() ? 1 : 0;
+      s.log_degrades += c->path.log_degraded() ? 1 : 0;
     }
-    if (c->eliding_sink) {
-      s.elided_flushes += c->eliding_sink->elided_count();
-      s.elision_reflushes += c->eliding_sink->reflushed_count();
-    }
+    s.elided_flushes += c->path.elided_count();
+    s.elision_reflushes += c->path.reflushed_count();
     if (const std::size_t size = c->policy->current_cache_size(); size > 0) {
       s.cache_sizes.push_back(size);
     }
@@ -746,15 +550,16 @@ HealthReport Runtime::health() const {
   HealthReport report;
   report.faults_attached = injector_ != nullptr;
   for (const auto& c : contexts_) {
-    if (c->faults == nullptr) continue;
-    report.transient_faults += c->faults->transients();
-    report.flush_retries += c->faults->retries();
-    const std::vector<LineAddr> lines = c->faults->quarantined_lines();
+    const core::FaultStats* faults = c->path.faults();
+    if (faults == nullptr) continue;
+    report.transient_faults += faults->transients();
+    report.flush_retries += faults->retries();
+    const std::vector<LineAddr> lines = faults->quarantined_lines();
     report.quarantined_lines.insert(report.quarantined_lines.end(),
                                     lines.begin(), lines.end());
-    report.flush_degraded_contexts += c->flush_degraded ? 1 : 0;
-    report.log_degraded_contexts += c->log_degraded ? 1 : 0;
-    report.commit_suspended_contexts += c->commit_suspended ? 1 : 0;
+    report.flush_degraded_contexts += c->path.flush_degraded() ? 1 : 0;
+    report.log_degraded_contexts += c->path.log_degraded() ? 1 : 0;
+    report.commit_suspended_contexts += c->path.commit_suspended() ? 1 : 0;
   }
   if (scrub_faults_ != nullptr) {
     // Scrub-discovered media failures join the same quarantine ledger as
@@ -812,7 +617,7 @@ void Runtime::destroy_storage() {
     // is teardown — so draining from this thread is safe.
     std::lock_guard<std::mutex> lock(contexts_mutex_);
     for (const auto& c : contexts_) {
-      if (c->flush_channel) c->flush_channel->wait_drained();
+      if (c->path.channel()) c->path.channel()->wait_drained();
     }
   }
   allocator_.reset();

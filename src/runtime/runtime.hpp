@@ -94,7 +94,9 @@ struct RuntimeConfig {
   /// core::FlushElisionTable dedups scheduled write-backs across contexts —
   /// an eviction of a line whose write-back is already announced and not
   /// yet started is skipped, and every commit-point drain re-checks its
-  /// elided lines. Off by default: the sink stack is unchanged.
+  /// elided lines. Only write-backs queued in a ring can be announced and
+  /// not yet started, so this has no effect without async_flush. Off by
+  /// default: the sink stack is unchanged.
   bool elide = false;
   /// Elision-table slot count (power of two; NVC_ELIDE_TABLE).
   std::size_t elide_table_slots = 4096;
@@ -271,7 +273,6 @@ class Runtime {
   /// Dirty the store's verify-table lines and record them for the commit
   /// (NVC_VERIFY_DATA only; callers test verify_table_).
   void mark_unverified(ThreadContext& c, const void* addr, std::size_t len);
-  void maybe_degrade(ThreadContext& c);
   /// Publish commit-time checksums for the FASE's touched lines
   /// (NVC_VERIFY_DATA; no-op otherwise).
   void publish_commit(ThreadContext& c);
@@ -280,13 +281,14 @@ class Runtime {
 
   RuntimeConfig config_;
   /// Media-fault decision source (null when config_.fault is disabled).
-  /// Shared: the worker-side sink inside a FlushChannel keeps a reference,
-  /// and a channel may outlive the Runtime (see open_flush_channel).
+  /// Shared: the worker-side IssueSink inside a FlushChannel keeps a
+  /// reference, and a channel may outlive the Runtime.
   std::shared_ptr<pmem::FaultInjector> injector_;
   /// Endurance accounting (null unless config_.wear_tracking). Shared for
   /// the same lifetime reason: worker-side backends hold a reference.
   std::shared_ptr<pmem::WearTracker> wear_;
-  /// Flush-elision table (null unless config_.elide). One table for all
+  /// Flush-elision table (null unless config_.elide with
+  /// config_.async_flush). One table for all
   /// contexts — cross-thread dedup is the point — and shared because the
   /// worker-side RetiringSink inside a FlushChannel may outlive us.
   std::shared_ptr<core::FlushElisionTable> elision_;

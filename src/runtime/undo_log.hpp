@@ -101,6 +101,10 @@ class UndoLog final : public core::EpochLog {
   /// under the old discipline. Irreversible by design.
   void degrade_to_strict() noexcept { mode_ = LogSyncMode::kStrict; }
 
+  /// Reroute durability traffic (WritebackPath puts its retry layer over
+  /// the sink the log was built with). Call before the first write.
+  void set_sink(core::FlushSink* sink) noexcept { sink_ = sink; }
+
   /// Roll back every uncommitted record, newest first. `apply` restores the
   /// payload bytes at the location identified by the token. Walks the entry
   /// chain forward to find the recovery extent (see file comment), then

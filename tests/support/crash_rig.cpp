@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
+#include "support/sinks.hpp"
 
 namespace nvc::testing {
 
@@ -43,15 +44,6 @@ struct CrashRig::FreezeSink final : core::FlushSink {
   std::atomic<std::uint64_t> fences{0};
 };
 
-/// Worker-side sink for the async data path: the channel owns this thin
-/// forwarder while the FreezeSink (and its counters) stay with the rig.
-struct CrashRig::ForwardSink final : core::FlushSink {
-  explicit ForwardSink(core::FlushSink* t) : target(t) {}
-  bool flush_line(LineAddr line) override { return target->flush_line(line); }
-  void drain() override {}
-  core::FlushSink* target;
-};
-
 /// Recovery-time sink: never frozen (the machine is back up).
 struct CrashRig::LiveSink final : core::FlushSink {
   LiveSink(pmem::ShadowPmem* target, LineAddr line_shift)
@@ -64,11 +56,9 @@ struct CrashRig::LiveSink final : core::FlushSink {
   LineAddr shift;
 };
 
-/// One logical runtime thread: private policy, log segment, and (in async
-/// mode) flush ring, all against the rig's shared shadow image and event
-/// clock. Async members sit between the sinks they use and `ordered`
-/// (which points at async_sink): destruction drains the ring while the
-/// shadow and the FreezeSink are still alive.
+/// One logical runtime thread: private policy, log segment and write-back
+/// path (in async mode with its own flush ring), all against the rig's
+/// shared shadow image and event clock.
 struct CrashRig::Context {
   Context(CrashRig* rig, LineAddr log_shift)
       : data_sink(rig, /*shift=*/0), log_sink(rig, log_shift) {}
@@ -78,41 +68,10 @@ struct CrashRig::Context {
   std::unique_ptr<core::Policy> policy;
   core::SoftCachePolicy* soft = nullptr;  // set in online_policy mode
   std::unique_ptr<runtime::UndoLog> log;
+  /// Declared after the sinks and the log: its destructor drains the ring
+  /// while they are still alive.
+  std::unique_ptr<runtime::WritebackPath> path;
   int fase_depth = 0;
-  std::shared_ptr<core::FlushChannel> flush_channel;
-  /// Elision + async: AsyncFlushSink's ring-full/overflow fallback executes
-  /// the write-back locally, bypassing the worker-side RetiringSink — so
-  /// the fallback itself must retire (every owner path retires exactly
-  /// once, whichever side performs the write).
-  std::unique_ptr<core::RetiringSink> retiring_fallback;
-  std::unique_ptr<core::AsyncFlushSink> async_sink;
-  /// Elision dimension: sits between `ordered` and the async/sync path
-  /// (declared before `ordered` so destruction order mirrors the stack).
-  std::unique_ptr<core::ElidingSink> eliding;
-  std::unique_ptr<core::LogOrderedSink> ordered;
-
-  // --- fault dimension (members live only when the injector is attached;
-  // the sinks above are used directly otherwise, so the fault-free event
-  // sequence is bit-identical to the pre-fault rig) ------------------------
-  core::FaultStats faults;
-  std::unique_ptr<core::FaultTolerantSink> ft_data;  // retry over data_sink
-  std::unique_ptr<core::FaultTolerantSink> ft_log;   // retry over log_sink
-  /// Sync data path used after the async→sync latch (and, fault-mode
-  /// sync-flush, from the start): ordering decorator over the retrying
-  /// synchronous sink.
-  std::unique_ptr<core::LogOrderedSink> ordered_sync;
-  bool flush_degraded = false;
-  bool log_degraded = false;
-  /// One-way: a quarantined line means some pre-crash state of this
-  /// context may be unrecoverable *if we moved the commit point past it*;
-  /// never committing again keeps recovery pinned at the last good commit
-  /// (all-or-nothing holds, data past it is sacrificed).
-  bool commit_suspended = false;
-
-  /// The sink FASE traffic flows through right now.
-  core::FlushSink& route() {
-    return flush_degraded ? *ordered_sync : *ordered;
-  }
 };
 
 CrashRig::CrashRig(const CrashRigConfig& config)
@@ -140,17 +99,9 @@ CrashRig::CrashRig(const CrashRigConfig& config)
       elision_->set_bug_revert_retire(true);
     }
   }
-  const core::RetryPolicy retry{config_.fault.max_retries,
-                                config_.fault.backoff_ns,
-                                config_.fault.backoff_cap_ns};
+  const core::RetryPolicy retry = runtime::retry_policy(config_.fault);
   for (std::size_t i = 0; i < config_.contexts; ++i) {
     auto c = std::make_unique<Context>(this, log_shift_);
-    if (injector_) {
-      c->ft_data = std::make_unique<core::FaultTolerantSink>(&c->data_sink,
-                                                             &c->faults, retry);
-      c->ft_log = std::make_unique<core::FaultTolerantSink>(&c->log_sink,
-                                                            &c->faults, retry);
-    }
     core::PolicyConfig pc;
     pc.cache_size = config_.cache_size;
     pc.admission.mode = config_.admission;
@@ -165,70 +116,34 @@ CrashRig::CrashRig(const CrashRigConfig& config)
     } else {
       c->policy = core::make_policy(core::PolicyKind::kSoftCacheOffline, pc);
     }
-    core::FlushSink* sync_data =
-        c->ft_data ? static_cast<core::FlushSink*>(c->ft_data.get())
-                   : &c->data_sink;
-    core::FlushSink* log_path =
-        c->ft_log ? static_cast<core::FlushSink*>(c->ft_log.get())
-                  : &c->log_sink;
     c->log = std::make_unique<runtime::UndoLog>(
-        shadow_.volatile_base() + log_offset(i), config_.log_bytes, log_path,
-        config_.mode);
-    c->log->format();  // pre-script: not an event, cannot be frozen away
+        shadow_.volatile_base() + log_offset(i), config_.log_bytes,
+        &c->log_sink, config_.mode);
+    auto faults = injector_ ? std::make_shared<core::FaultStats>() : nullptr;
+    std::shared_ptr<core::FlushChannel> channel;
     if (config_.async_flush) {
       // Flush-behind data path: a tiny ring (overflow falls back to the
       // synchronous FreezeSink) drained by the background worker — or, in
-      // manual mode, only by pump_flush() and the helping drain. With
-      // faults the retrying decorator sits worker-side, below the ring:
-      // retries and quarantine happen where the write-back executes.
-      std::unique_ptr<core::FlushSink> worker_sink =
-          std::make_unique<ForwardSink>(&c->data_sink);
-      if (injector_) {
-        worker_sink = std::make_unique<core::FaultTolerantSink>(
-            std::move(worker_sink), &c->faults, retry);
-      }
-      if (elision_) {
-        // Outermost worker-side: the line retires before the write-back
-        // starts (decrement-before-write), and before any retries — a
-        // retried write is still the same scheduled write-back.
-        worker_sink = std::make_unique<core::RetiringSink>(
-            std::move(worker_sink), elision_);
-      }
-      c->flush_channel =
-          config_.manual_pipeline
-              ? core::FlushWorker::shared().open_manual_channel(
-                    std::move(worker_sink), config_.flush_ring)
-              : core::FlushWorker::shared().open_channel(
-                    std::move(worker_sink), config_.flush_ring);
-      core::FlushSink* fallback = sync_data;
-      if (elision_) {
-        c->retiring_fallback =
-            std::make_unique<core::RetiringSink>(sync_data, elision_);
-        fallback = c->retiring_fallback.get();
-      }
-      c->async_sink =
-          std::make_unique<core::AsyncFlushSink>(c->flush_channel, fallback);
+      // manual mode, only by pump_flush() and the helping drain.
+      auto worker_sink = runtime::make_worker_sink(
+          std::make_unique<ForwardSink>(&c->data_sink), faults, retry,
+          elision_);
+      channel = config_.manual_pipeline
+                    ? core::FlushWorker::shared().open_manual_channel(
+                          std::move(worker_sink), config_.flush_ring)
+                    : core::FlushWorker::shared().open_channel(
+                          std::move(worker_sink), config_.flush_ring);
     }
-    core::FlushSink* data_path =
-        c->async_sink ? static_cast<core::FlushSink*>(c->async_sink.get())
-                      : sync_data;
-    if (elision_) {
-      // Below the LogOrderedSink (the log sync runs whether or not the
-      // media write is elided), above the ring/sync backend. In sync mode
-      // the owner retires inline (immediate); in async mode the worker's
-      // RetiringSink handles it.
-      c->eliding = std::make_unique<core::ElidingSink>(
-          data_path, elision_, /*immediate=*/!config_.async_flush);
-      data_path = c->eliding.get();
-    }
-    c->ordered = std::make_unique<core::LogOrderedSink>(data_path,
-                                                        c->log.get());
-    if (injector_) {
-      // Degraded route bypasses elision (mirrors Runtime): once the media
-      // misbehaves, every write-back executes, none is deduped away.
-      c->ordered_sync =
-          std::make_unique<core::LogOrderedSink>(sync_data, c->log.get());
-    }
+    c->path = std::make_unique<runtime::WritebackPath>(
+        runtime::WritebackPath::Inputs{.data = &c->data_sink,
+                                       .log_sink = &c->log_sink,
+                                       .log = c->log.get(),
+                                       .faults = std::move(faults),
+                                       .retry = retry,
+                                       .elision = elision_,
+                                       .channel = std::move(channel),
+                                       .device = {}});
+    c->log->format();  // pre-script: not an event, cannot be frozen away
     contexts_.push_back(std::move(c));
   }
   counting_ = true;
@@ -236,36 +151,11 @@ CrashRig::CrashRig(const CrashRigConfig& config)
 
 CrashRig::~CrashRig() = default;
 
-void CrashRig::maybe_degrade(Context& c) {
-  if (!injector_) return;
-  const bool trigger =
-      c.faults.quarantined_count() > 0 ||
-      c.faults.transients() >= config_.fault.degrade_after;
-  if (!trigger) return;
-  if (config_.async_flush && !c.flush_degraded) {
-    // Async→sync latch (mirrors Runtime): drain the ring so no line is
-    // stranded behind the reroute, then send all further traffic through
-    // the synchronous retrying path.
-    c.async_sink->drain();
-    c.flush_degraded = true;
-  }
-  if (config_.mode == runtime::LogSyncMode::kBatched && !c.log_degraded &&
-      c.log->mode() == runtime::LogSyncMode::kBatched) {
-    // Batched→strict latch: persist what is pending under the old
-    // discipline (best effort — a failure here surfaces as a transient
-    // and the per-record syncs retry the same range), then every record
-    // is durable before its pstore returns.
-    c.log->sync();
-    c.log->degrade_to_strict();
-    c.log_degraded = true;
-  }
-}
-
 void CrashRig::fase_begin(std::size_t ctx) {
   Context& c = *contexts_[ctx];
   if (c.fase_depth++ == 0) {
-    maybe_degrade(c);
-    c.policy->on_fase_begin(c.route());
+    c.path->maybe_degrade(config_.fault.degrade_after);
+    c.policy->on_fase_begin(c.path->route());
   }
 }
 
@@ -273,20 +163,11 @@ bool CrashRig::fase_end(std::size_t ctx) {
   Context& c = *contexts_[ctx];
   NVC_REQUIRE(c.fase_depth > 0, "fase_end without matching fase_begin");
   if (--c.fase_depth != 0) return false;
-  // Mirrors Runtime::fase_end: the policy flushes its buffered lines
-  // through the ordering decorator (log sync precedes each data flush),
-  // then the log commits — the FASE's atomic commit point.
-  c.policy->on_fase_end(c.route());
-  if (c.commit_suspended) return false;
-  if (c.faults.quarantined_count() > 0) {
-    // A quarantined line means some write-back of this context is
-    // permanently lost. Committing would truncate the undo records that
-    // still cover the lost data; suspending commits instead pins recovery
-    // at the last good commit, preserving all-or-nothing.
-    c.commit_suspended = true;
-    return false;
-  }
-  return c.log->commit();
+  // As Runtime::fase_end: the policy flushes its buffered lines through
+  // the path (log sync precedes each data flush), then the log commits —
+  // the FASE's atomic commit point — unless a quarantine suspended it.
+  c.policy->on_fase_end(c.path->route());
+  return c.path->commit_allowed() && c.log->commit();
 }
 
 void CrashRig::pstore(std::size_t ctx, PmAddr addr, const void* bytes,
@@ -295,9 +176,8 @@ void CrashRig::pstore(std::size_t ctx, PmAddr addr, const void* bytes,
   NVC_REQUIRE(addr + len <= data_bytes(), "pstore past region end");
   Context& c = *contexts_[ctx];
   NVC_REQUIRE(c.fase_depth > 0, "rig pstores must be inside a FASE");
-  const bool async_route = c.async_sink != nullptr && !c.flush_degraded;
   const PmAddr base = data_offset(ctx) + addr;
-  // Log the old bytes before overwriting, in kMaxPayload pieces (mirrors
+  // Log the old bytes before overwriting, in kMaxPayload pieces (as
   // Runtime::pstore; the token is the shadow offset, so recovery stores
   // the payload straight back).
   std::vector<std::uint8_t> old(len);
@@ -314,45 +194,25 @@ void CrashRig::pstore(std::size_t ctx, PmAddr addr, const void* bytes,
   }
   const LineAddr first = line_of(base);
   const LineAddr last = line_of(base + len - 1);
-  if (async_route || elision_ != nullptr) {
-    // Write-after-enqueue hazard (DESIGN.md §8, mirrors Runtime::pstore):
-    // a touched line may still be queued, so its eventual write-back can
-    // carry this store's bytes — the records covering them must be durable
-    // before the data write below. With elision the hazard also crosses
-    // contexts: a pending() line means some context's announced write-back
-    // has not started and may carry these bytes (DESIGN.md §13).
-    for (LineAddr line = first; line <= last; ++line) {
-      const bool inflight = async_route && c.async_sink->maybe_inflight(line);
-      const bool cross = elision_ != nullptr && elision_->pending(line);
-      if (inflight || cross) {
-        if (!c.log->sync() && async_route) {
-          // Records will not persist (log media failing): the queued
-          // write-back must not carry the new bytes either. Draining the
-          // ring retires it with the pre-store image before the memcpy.
-          c.async_sink->drain();
-        }
-        break;
-      }
-    }
-  }
+  c.path->before_store(first, last);
   {
     std::lock_guard<std::mutex> lock(shadow_mutex_);
     shadow_.store(base, bytes, len);
   }
   claim_event();
   for (LineAddr line = first; line <= last; ++line) {
-    c.policy->on_store(line, c.route());
+    c.policy->on_store(line, c.path->route());
   }
 }
 
 void CrashRig::persist_barrier(std::size_t ctx) {
   Context& c = *contexts_[ctx];
-  c.policy->flush_buffered(c.route());
+  c.policy->flush_buffered(c.path->route());
 }
 
 bool CrashRig::pump_flush(std::size_t ctx, std::size_t worker) {
   Context& c = *contexts_[ctx];
-  return c.flush_channel != nullptr && c.flush_channel->pump_one(worker);
+  return c.path->channel() != nullptr && c.path->channel()->pump_one(worker);
 }
 
 bool CrashRig::pump_analysis(std::size_t ctx, std::size_t worker) {
@@ -404,19 +264,21 @@ void CrashRig::note_fence() {
 }
 
 const core::FaultStats& CrashRig::fault_stats(std::size_t ctx) const {
-  return contexts_[ctx]->faults;
+  static const core::FaultStats kClean;
+  const core::FaultStats* faults = contexts_[ctx]->path->faults();
+  return faults != nullptr ? *faults : kClean;
 }
 
 bool CrashRig::flush_degraded(std::size_t ctx) const {
-  return contexts_[ctx]->flush_degraded;
+  return contexts_[ctx]->path->flush_degraded();
 }
 
 bool CrashRig::log_degraded(std::size_t ctx) const {
-  return contexts_[ctx]->log_degraded;
+  return contexts_[ctx]->path->log_degraded();
 }
 
 bool CrashRig::commit_suspended(std::size_t ctx) const {
-  return contexts_[ctx]->commit_suspended;
+  return contexts_[ctx]->path->commit_suspended();
 }
 
 std::uint64_t CrashRig::claim_event() {
@@ -438,7 +300,7 @@ void CrashRig::recover_all() {
   // queued at the freeze point claim post-freeze event indices and drop —
   // power failed with those writes in flight, they never persist.
   for (auto& c : contexts_) {
-    if (c->flush_channel) c->flush_channel->wait_drained();
+    if (c->path->channel()) c->path->channel()->wait_drained();
   }
   shadow_.crash();  // everything unflushed is gone
   // The restarted machine gets fresh media behavior: recovery's own
@@ -514,7 +376,7 @@ std::uint64_t CrashRig::bypassed_stores() const noexcept {
 std::uint64_t CrashRig::elided_flushes() const noexcept {
   std::uint64_t total = 0;
   for (const auto& c : contexts_) {
-    if (c->eliding) total += c->eliding->elided_count();
+    total += c->path->elided_count();
   }
   return total;
 }
@@ -522,7 +384,7 @@ std::uint64_t CrashRig::elided_flushes() const noexcept {
 std::uint64_t CrashRig::elision_reflushes() const noexcept {
   std::uint64_t total = 0;
   for (const auto& c : contexts_) {
-    if (c->eliding) total += c->eliding->reflushed_count();
+    total += c->path->reflushed_count();
   }
   return total;
 }

@@ -1,7 +1,8 @@
 // Reusable freeze/restart rig for crash-consistency tests (DESIGN.md §9).
 //
-// A miniature FASE engine — caching policy + LogOrderedSink + UndoLog per
-// context — runs against the ShadowPmem crash model with both the data
+// A miniature FASE engine — caching policy + UndoLog + the runtime's own
+// WritebackPath per context — runs against the ShadowPmem crash model with
+// both the data
 // regions and the log segments living inside one shadow image. Every pstore
 // and every attempted line flush (data or log path) atomically claims a
 // monotonically increasing *event index*; freeze_at(e) models power failing
@@ -16,9 +17,11 @@
 //
 //   * several logical contexts (runtime threads), each with a private data
 //     region, policy, and log segment, sharing the event clock and freeze;
-//   * byte-granularity pstores of any size/alignment, mirroring
-//     Runtime::pstore exactly — piecewise undo records, the
-//     write-after-enqueue hazard sync, per-touched-line policy reports;
+//   * byte-granularity pstores of any size/alignment, as Runtime::pstore
+//     makes them — piecewise undo records, the write-after-enqueue hazard
+//     sync, per-touched-line policy reports. The write-back route, hazard
+//     check, degradation latches and commit suspension are not copies:
+//     they are runtime::WritebackPath, the composition Runtime ships;
 //   * nested FASEs (outermost-only policy/commit) and persist_barrier;
 //   * a *deterministic* flush-behind mode (manual_pipeline): the ring is
 //     never served by the background worker — queued write-backs run only
@@ -39,14 +42,11 @@
 #include <mutex>
 #include <vector>
 
-#include "core/elision_sink.hpp"
-#include "core/fault_sink.hpp"
-#include "core/flush_pipeline.hpp"
-#include "core/log_ordered_sink.hpp"
 #include "core/policy.hpp"
 #include "pmem/fault.hpp"
 #include "pmem/shadow.hpp"
 #include "runtime/undo_log.hpp"
+#include "runtime/writeback_path.hpp"
 
 namespace nvc::testing {
 
@@ -73,9 +73,9 @@ struct CrashRigConfig {
   std::size_t flush_ring = 8;  // small: overflow fallback gets exercised
 
   /// Media-fault dimension: when enabled(), the rig owns a FaultInjector
-  /// attached to the shadow image, wraps every sink in FaultTolerantSink
-  /// (retry/quarantine with the config's RetryPolicy fields), mirrors the
-  /// runtime's degradation latches, and lets write-backs racing the power
+  /// attached to the shadow image, arms each WritebackPath's retry/
+  /// quarantine layer (the config's RetryPolicy fields), degradation
+  /// latches and commit suspension, and lets write-backs racing the power
   /// cut land torn. Decisions derive from fault.seed, so runs replay.
   pmem::FaultConfig fault;
   /// Max lines of the write-back burst racing the power cut that may land
@@ -91,8 +91,8 @@ struct CrashRigConfig {
   core::AdmitMode admission = core::AdmitMode::kAlways;
 
   /// Flush-elision dimension (DESIGN.md §13): one FlushElisionTable shared
-  /// by all contexts, an ElidingSink below each LogOrderedSink, and (async
-  /// mode) a RetiringSink worker-side below the ring. The durability oracle
+  /// by all contexts' WritebackPaths. It elides only with async_flush (a
+  /// synchronous path has no eliding stage). The durability oracle
   /// must hold unchanged: elision may only drop write-backs whose bytes an
   /// already-scheduled write-back carries, and the commit-point drain
   /// re-flushes elided lines still pending.
@@ -209,7 +209,6 @@ class CrashRig {
 
  private:
   struct FreezeSink;
-  struct ForwardSink;
   struct LiveSink;
   struct Context;
 
@@ -235,8 +234,6 @@ class CrashRig {
   /// Post-cut fence observed: permanently close an open tear window.
   void note_fence();
 
-  /// Degradation latches, evaluated at the outermost fase_begin.
-  void maybe_degrade(Context& c);
   bool powered(std::uint64_t event) const noexcept {
     return event <= freeze_event_;
   }
@@ -251,7 +248,7 @@ class CrashRig {
   pmem::ShadowPmem shadow_;
   std::unique_ptr<pmem::FaultInjector> injector_;  // null when faults off
   /// Elision dimension (null when config_.elide is off). Shared with the
-  /// worker-side RetiringSink inside each context's FlushChannel.
+  /// worker side of each context's FlushChannel.
   std::shared_ptr<core::FlushElisionTable> elision_;
   LineAddr log_shift_;  // pointer-line -> shadow-offset-line translation
   bool counting_ = false;

@@ -16,36 +16,13 @@
 #include "core/flush_pipeline.hpp"
 #include "core/log_ordered_sink.hpp"
 #include "runtime/runtime.hpp"
+#include "support/sinks.hpp"
 
 namespace nvc::core {
 namespace {
 
-/// Records every line it receives (mutex so worker and helper may both
-/// deliver); counts drains.
-struct RecordingSink final : FlushSink {
-  bool flush_line(LineAddr line) override {
-    std::lock_guard<std::mutex> lock(mutex);
-    lines.push_back(line);
-    return true;
-  }
-  void drain() override { ++drains; }
-  std::vector<LineAddr> snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex);
-    return lines;
-  }
-  mutable std::mutex mutex;
-  std::vector<LineAddr> lines;
-  std::atomic<std::uint64_t> drains{0};
-};
-
-/// Worker-side sink that forwards into an externally owned recorder (the
-/// channel wants ownership; tests want to inspect).
-struct ForwardSink final : FlushSink {
-  explicit ForwardSink(FlushSink* t) : target(t) {}
-  bool flush_line(LineAddr line) override { return target->flush_line(line); }
-  void drain() override { target->drain(); }
-  FlushSink* target;
-};
+using nvc::testing::ForwardSink;
+using nvc::testing::RecordingSink;
 
 /// Sink whose flushes take a while — fills the ring faster than it drains.
 struct SlowSink final : FlushSink {

@@ -654,9 +654,9 @@ TEST_P(ElideFuzzCrash, ElidedWriteBacksKeepTheDurabilityContract) {
         << "elision campaign never elided a write-back; the flush-behind "
         << "ring no longer holds lines long enough to dedup";
   } else {
-    // Sync mode retires inline: an announce can never find a pending
-    // owner, so elision must be exactly zero (the dimension degenerates
-    // to counter bookkeeping, and durability must be untouched).
+    // A synchronous write-back path has no eliding stage (WritebackPath
+    // installs it only over a ring): elision must be exactly zero, and
+    // durability untouched.
     EXPECT_EQ(elided_total, 0u);
   }
 }

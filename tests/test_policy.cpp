@@ -10,20 +10,12 @@
 #include "common/rng.hpp"
 #include "core/policy.hpp"
 #include "pmem/shadow.hpp"
+#include "support/sinks.hpp"
 
 namespace nvc::core {
 namespace {
 
-class RecordingSink final : public FlushSink {
- public:
-  bool flush_line(LineAddr line) override {
-    flushed.push_back(line);
-    return true;
-  }
-  void drain() override { ++drains; }
-  std::vector<LineAddr> flushed;
-  int drains = 0;
-};
+using nvc::testing::RecordingSink;
 
 /// Drive a policy through one FASE writing `lines`.
 void run_fase(Policy& p, FlushSink& sink,
@@ -37,9 +29,9 @@ TEST(EagerPolicy, FlushesEveryStore) {
   auto p = make_policy(PolicyKind::kEager);
   RecordingSink sink;
   run_fase(*p, sink, {1, 1, 2, 1});
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{1, 1, 2, 1}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{1, 1, 2, 1}));
   EXPECT_EQ(p->counters().stores, 4u);
-  EXPECT_EQ(p->counters().flush_ratio(sink.flushed.size()), 1.0);
+  EXPECT_EQ(p->counters().flush_ratio(sink.lines.size()), 1.0);
 }
 
 TEST(LazyPolicy, FlushesDistinctLinesAtFaseEnd) {
@@ -47,9 +39,9 @@ TEST(LazyPolicy, FlushesDistinctLinesAtFaseEnd) {
   RecordingSink sink;
   p->on_fase_begin(sink);
   for (const LineAddr l : {1, 2, 1, 3, 2, 1}) p->on_store(l, sink);
-  EXPECT_TRUE(sink.flushed.empty());  // nothing until FASE end
+  EXPECT_TRUE(sink.lines.empty());  // nothing until FASE end
   p->on_fase_end(sink);
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{1, 2, 3}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{1, 2, 3}));
   EXPECT_EQ(p->counters().combined, 3u);
 }
 
@@ -69,7 +61,7 @@ TEST(LazyPolicy, LowestPossibleFlushCount) {
     expected += distinct.size();
     run_fase(*p, sink, lines);
   }
-  EXPECT_EQ(sink.flushed.size(), expected);
+  EXPECT_EQ(sink.lines.size(), expected);
 }
 
 TEST(AtlasPolicy, CombinesRepeatsInSameSlot) {
@@ -81,9 +73,9 @@ TEST(AtlasPolicy, CombinesRepeatsInSameSlot) {
   p->on_store(1, sink);
   p->on_store(1, sink);  // combined
   p->on_store(1, sink);  // combined
-  EXPECT_TRUE(sink.flushed.empty());
+  EXPECT_TRUE(sink.lines.empty());
   p->on_fase_end(sink);
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{1}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{1}));
   EXPECT_EQ(p->counters().combined, 2u);
 }
 
@@ -95,10 +87,10 @@ TEST(AtlasPolicy, DirectMappedConflictFlushesOldLine) {
   p->on_fase_begin(sink);
   p->on_store(3, sink);
   p->on_store(3 + 8, sink);  // same slot (direct-mapped by line % 8)
-  ASSERT_EQ(sink.flushed.size(), 1u);
-  EXPECT_EQ(sink.flushed[0], 3u);
+  ASSERT_EQ(sink.lines.size(), 1u);
+  EXPECT_EQ(sink.lines[0], 3u);
   p->on_fase_end(sink);
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{3, 11}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{3, 11}));
 }
 
 TEST(AtlasPolicy, TableClearedAtFaseEnd) {
@@ -109,7 +101,7 @@ TEST(AtlasPolicy, TableClearedAtFaseEnd) {
   run_fase(*p, sink, {5});
   run_fase(*p, sink, {5});
   // The second FASE's write is compulsory again: two flushes total.
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{5, 5}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{5, 5}));
 }
 
 TEST(AtlasPolicy, AssociativeVariantResolvesConflicts) {
@@ -129,7 +121,7 @@ TEST(AtlasPolicy, AssociativeVariantResolvesConflicts) {
       p->on_store(11, sink);
     }
     p->on_fase_end(sink);
-    return sink.flushed.size();
+    return sink.lines.size();
   };
   EXPECT_GE(count(dm), 199u);   // thrash: nearly every store flushes
   EXPECT_EQ(count(assoc), 2u);  // both lines resident; FASE-end flush only
@@ -146,8 +138,8 @@ TEST(AtlasPolicy, AssociativeEvictsLruWithinSet) {
   p->on_store(4, sink);   // set 0
   p->on_store(2, sink);   // refresh 2
   p->on_store(6, sink);   // set 0 full: evicts LRU = 4
-  ASSERT_EQ(sink.flushed.size(), 1u);
-  EXPECT_EQ(sink.flushed[0], 4u);
+  ASSERT_EQ(sink.lines.size(), 1u);
+  EXPECT_EQ(sink.lines[0], 4u);
 }
 
 TEST(SoftCachePolicy, EvictsOnlyWhenOverCapacity) {
@@ -157,11 +149,11 @@ TEST(SoftCachePolicy, EvictsOnlyWhenOverCapacity) {
   RecordingSink sink;
   p->on_fase_begin(sink);
   for (LineAddr l = 1; l <= 4; ++l) p->on_store(l, sink);
-  EXPECT_TRUE(sink.flushed.empty());
+  EXPECT_TRUE(sink.lines.empty());
   p->on_store(5, sink);  // evicts LRU (line 1)
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{1}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{1}));
   p->on_fase_end(sink);
-  EXPECT_EQ(sink.flushed.size(), 5u);  // remaining 4 flushed at FASE end
+  EXPECT_EQ(sink.lines.size(), 5u);  // remaining 4 flushed at FASE end
 }
 
 TEST(SoftCachePolicy, OutperformsAtlasOnLoopWorkingSet) {
@@ -188,8 +180,8 @@ TEST(SoftCachePolicy, OutperformsAtlasOnLoopWorkingSet) {
   at->on_fase_end(at_sink);
   sc->on_fase_end(sc_sink);
 
-  EXPECT_EQ(sc_sink.flushed.size(), 20u);  // compulsory only
-  EXPECT_GT(at_sink.flushed.size(), 10 * sc_sink.flushed.size());
+  EXPECT_EQ(sc_sink.lines.size(), 20u);  // compulsory only
+  EXPECT_GT(at_sink.lines.size(), 10 * sc_sink.lines.size());
 }
 
 TEST(SoftCachePolicy, OnlineAdaptsSizeAfterBurst) {
@@ -217,8 +209,8 @@ TEST(SoftCachePolicy, FlushBufferedEmptiesCacheWithoutFaseBoundary) {
   p->on_fase_begin(sink);
   for (LineAddr l = 1; l <= 3; ++l) p->on_store(l, sink);
   p->flush_buffered(sink);  // mid-FASE ordering point
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{1, 2, 3}));
-  EXPECT_EQ(sink.drains, 1);
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{1, 2, 3}));
+  EXPECT_EQ(sink.drains.load(), 1u);
   EXPECT_EQ(p->counters().fases, 1u);  // not a FASE boundary
   // The cache really is empty: re-storing the same lines misses again.
   p->on_store(1, sink);
@@ -344,8 +336,8 @@ TEST(SoftCachePolicy, HibernatingOnlineMatchesOfflineAtSelectedSize) {
     run_fase(offline, offline_sink, lines);
   }
   EXPECT_EQ(online.current_cache_size(), fixed.cache_size);
-  EXPECT_FALSE(online_sink.flushed.empty());
-  EXPECT_EQ(online_sink.flushed, offline_sink.flushed);
+  EXPECT_FALSE(online_sink.lines.empty());
+  EXPECT_EQ(online_sink.lines, offline_sink.lines);
 }
 
 TEST(BestPolicy, NeverFlushes) {
@@ -353,7 +345,7 @@ TEST(BestPolicy, NeverFlushes) {
   RecordingSink sink;
   run_fase(*p, sink, {1, 2, 3, 1, 2});
   p->finish(sink);
-  EXPECT_TRUE(sink.flushed.empty());
+  EXPECT_TRUE(sink.lines.empty());
   EXPECT_EQ(p->counters().stores, 5u);
 }
 
@@ -469,7 +461,7 @@ TEST(PolicyOrdering, LaLeqScLeqAtLeqEr) {
     auto p = make_policy(kind, config);
     RecordingSink sink;
     for (const auto& f : fases) run_fase(*p, sink, f);
-    return sink.flushed.size();
+    return sink.lines.size();
   };
 
   PolicyConfig config;

@@ -19,31 +19,13 @@
 #include "core/analyzer.hpp"
 #include "core/flush_pipeline.hpp"
 #include "core/thread_groups.hpp"
+#include "support/sinks.hpp"
 
 namespace nvc::core {
 namespace {
 
-struct RecordingSink final : FlushSink {
-  bool flush_line(LineAddr line) override {
-    std::lock_guard<std::mutex> lock(mutex);
-    lines.push_back(line);
-    return true;
-  }
-  void drain() override {}
-  std::vector<LineAddr> snapshot() const {
-    std::lock_guard<std::mutex> lock(mutex);
-    return lines;
-  }
-  mutable std::mutex mutex;
-  std::vector<LineAddr> lines;
-};
-
-struct ForwardSink final : FlushSink {
-  explicit ForwardSink(FlushSink* t) : target(t) {}
-  bool flush_line(LineAddr line) override { return target->flush_line(line); }
-  void drain() override { target->drain(); }
-  FlushSink* target;
-};
+using nvc::testing::ForwardSink;
+using nvc::testing::RecordingSink;
 
 /// First flush parks until released — wedges whichever consumer pops it
 /// while it holds the channel's consumer lock.

@@ -8,19 +8,12 @@
 
 #include "common/rng.hpp"
 #include "core/write_cache.hpp"
+#include "support/sinks.hpp"
 
 namespace nvc::core {
 namespace {
 
-/// Sink that remembers the order of flushed lines.
-class RecordingSink final : public FlushSink {
- public:
-  bool flush_line(LineAddr line) override {
-    flushed.push_back(line);
-    return true;
-  }
-  std::vector<LineAddr> flushed;
-};
+using nvc::testing::RecordingSink;
 
 TEST(WriteCache, MissThenHit) {
   WriteCache cache(4);
@@ -28,7 +21,7 @@ TEST(WriteCache, MissThenHit) {
   EXPECT_FALSE(cache.access(10, sink));  // insert
   EXPECT_TRUE(cache.access(10, sink));   // combined
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(sink.flushed.empty());
+  EXPECT_TRUE(sink.lines.empty());
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_EQ(cache.stats().accesses, 2u);
 }
@@ -39,8 +32,8 @@ TEST(WriteCache, EvictsLeastRecentlyUsed) {
   cache.access(1, sink);
   cache.access(2, sink);
   cache.access(3, sink);  // evicts 1
-  ASSERT_EQ(sink.flushed.size(), 1u);
-  EXPECT_EQ(sink.flushed[0], 1u);
+  ASSERT_EQ(sink.lines.size(), 1u);
+  EXPECT_EQ(sink.lines[0], 1u);
   EXPECT_FALSE(cache.contains(1));
   EXPECT_TRUE(cache.contains(2));
   EXPECT_TRUE(cache.contains(3));
@@ -53,8 +46,8 @@ TEST(WriteCache, HitRefreshesRecency) {
   cache.access(2, sink);
   cache.access(1, sink);  // 1 becomes MRU
   cache.access(3, sink);  // evicts 2
-  ASSERT_EQ(sink.flushed.size(), 1u);
-  EXPECT_EQ(sink.flushed[0], 2u);
+  ASSERT_EQ(sink.lines.size(), 1u);
+  EXPECT_EQ(sink.lines[0], 2u);
 }
 
 TEST(WriteCache, PaperFigure1Scenario) {
@@ -65,8 +58,8 @@ TEST(WriteCache, PaperFigure1Scenario) {
   cache.access(0x400 >> 6, sink);
   cache.access(0x200 >> 6, sink);
   cache.access(0x600 >> 6, sink);
-  ASSERT_EQ(sink.flushed.size(), 1u);
-  EXPECT_EQ(sink.flushed[0], static_cast<LineAddr>(0x400 >> 6));
+  ASSERT_EQ(sink.lines.size(), 1u);
+  EXPECT_EQ(sink.lines[0], static_cast<LineAddr>(0x400 >> 6));
 }
 
 TEST(WriteCache, FlushAllEmptiesLruFirst) {
@@ -75,7 +68,7 @@ TEST(WriteCache, FlushAllEmptiesLruFirst) {
   for (LineAddr l = 1; l <= 4; ++l) cache.access(l, sink);
   cache.flush_all(sink);
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{1, 2, 3, 4}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{1, 2, 3, 4}));
   EXPECT_EQ(cache.stats().fase_flushes, 4u);
 }
 
@@ -96,7 +89,7 @@ TEST(WriteCache, ResizeShrinkEvictsExcess) {
   cache.resize(3, sink);
   EXPECT_EQ(cache.capacity(), 3u);
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{1, 2, 3, 4, 5}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{1, 2, 3, 4, 5}));
   EXPECT_TRUE(cache.contains(6));
   EXPECT_TRUE(cache.contains(7));
   EXPECT_TRUE(cache.contains(8));
@@ -108,9 +101,9 @@ TEST(WriteCache, ResizeGrowKeepsContents) {
   cache.access(1, sink);
   cache.access(2, sink);
   cache.resize(50, sink);
-  EXPECT_TRUE(sink.flushed.empty());
+  EXPECT_TRUE(sink.lines.empty());
   for (LineAddr l = 3; l <= 50; ++l) cache.access(l, sink);
-  EXPECT_TRUE(sink.flushed.empty());  // fits now
+  EXPECT_TRUE(sink.lines.empty());  // fits now
   EXPECT_EQ(cache.size(), 50u);
 }
 
@@ -120,7 +113,7 @@ TEST(WriteCache, CapacityOneAlwaysEvicts) {
   cache.access(1, sink);
   cache.access(2, sink);
   cache.access(1, sink);
-  EXPECT_EQ(sink.flushed, (std::vector<LineAddr>{1, 2}));
+  EXPECT_EQ(sink.lines, (std::vector<LineAddr>{1, 2}));
 }
 
 TEST(WriteCache, LruOrderReportsTailToHead) {
@@ -144,7 +137,7 @@ TEST(WriteCache, EveryMissFlushesExactlyOnceEventually) {
     if (!cache.access(rng.below(50), sink)) ++misses;
   }
   cache.flush_all(sink);
-  EXPECT_EQ(sink.flushed.size(), misses);
+  EXPECT_EQ(sink.lines.size(), misses);
 }
 
 // --- reference-model property test ------------------------------------------------
@@ -227,7 +220,7 @@ TEST_P(WriteCacheFuzz, MatchesReferenceModel) {
       cache.flush_all(sink);
       ref.flush_all(&ref_flushed);
     }
-    ASSERT_EQ(sink.flushed, ref_flushed) << "step " << step;
+    ASSERT_EQ(sink.lines, ref_flushed) << "step " << step;
     ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
     ASSERT_EQ(cache.lru_order(), ref.lru_order()) << "step " << step;
     const LineAddr probe = rng.below(p.address_space) + 1;
