@@ -20,7 +20,7 @@ int main() {
   std::printf("cpu support: clflush=%d clflushopt=%d clwb=%d\n\n",
               features.clflush, features.clflushopt, features.clwb);
 
-  const int repeats = static_cast<int>(env_int("NVC_REPEATS", 3));
+  const int repeats = static_cast<int>(bench_knob("NVC_REPEATS", 3));
   const auto params = params_from_env(1);
 
   TablePrinter table({"Workload", "Backend", "SC time (s)", "ER time (s)"});

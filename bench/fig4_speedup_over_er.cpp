@@ -13,7 +13,7 @@ int main() {
                "Fig. 4 — SC avg 9.6x over ER; AT avg 4.5x; SC over AT 2.1x; "
                "BEST avg 16.1x");
 
-  const int repeats = static_cast<int>(env_int("NVC_REPEATS", 3));
+  const int repeats = static_cast<int>(bench_knob("NVC_REPEATS", 3));
   TablePrinter table(
       {"Program", "ER(s)", "AT", "SC", "SC-offline", "BEST", "SC/AT"});
   std::vector<double> sc_over_at;

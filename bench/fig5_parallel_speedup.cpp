@@ -15,8 +15,7 @@ int main() {
                "Fig. 5 — SC > AT in 36/42 tests; max 4.13x; inversions at "
                "high thread counts for cache-contention-bound programs");
 
-  const std::size_t max_threads =
-      static_cast<std::size_t>(env_int("NVC_THREADS", 64));
+  const std::size_t max_threads = bench_knob("NVC_THREADS", 64);
   std::vector<std::size_t> thread_counts;
   for (std::size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 

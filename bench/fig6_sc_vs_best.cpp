@@ -12,8 +12,7 @@ int main() {
   print_banner("Figure 6: slowdown of SC over BEST vs threads",
                "Fig. 6 — ocean 11x -> 3x; others flat between 1x and 2x");
 
-  const std::size_t max_threads =
-      static_cast<std::size_t>(env_int("NVC_THREADS", 32));
+  const std::size_t max_threads = bench_knob("NVC_THREADS", 32);
   std::vector<std::size_t> thread_counts;
   for (std::size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 

@@ -13,7 +13,7 @@ int main() {
   print_banner("Figure 8: online cache-size-selection overhead",
                "Fig. 8 — overhead 1%..10% of execution time, avg 6.78%");
 
-  const int repeats = static_cast<int>(env_int("NVC_REPEATS", 3));
+  const int repeats = static_cast<int>(bench_knob("NVC_REPEATS", 3));
   TablePrinter table({"Program", "Threads", "preset (s)", "online (s)",
                       "overhead"});
   std::vector<double> overheads;

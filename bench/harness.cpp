@@ -1,11 +1,58 @@
 #include "harness.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <unistd.h>
 
+#include "common/assert.hpp"
+
 namespace nvc::bench {
+
+namespace {
+
+struct KnobRange {
+  const char* name;
+  std::uint64_t lo;
+  std::uint64_t hi;
+};
+
+/// Every bench-scale knob and the values it accepts. NVC_THREADS stops at
+/// the runtime's default log-segment count.
+constexpr KnobRange kBenchKnobs[] = {
+    {"NVC_REPEATS", 1, 1000},
+    {"NVC_THREADS", 1, 64},
+    {"NVC_REGION_MB", 1, 65536},
+    {"NVC_ARENA_MB", 1, 65536},
+    {"NVC_MDB_INSERTS", 1, 1000000000},
+    {"NVC_MDB_INSERTS_FULL", 1, 1000000000},
+    {"NVC_SEED", 0, std::numeric_limits<std::uint64_t>::max()},
+};
+
+}  // namespace
+
+std::uint64_t bench_knob(const char* name, std::uint64_t fallback) {
+  const KnobRange* range = nullptr;
+  for (const KnobRange& k : kBenchKnobs) {
+    if (std::strcmp(k.name, name) == 0) range = &k;
+  }
+  NVC_REQUIRE(range != nullptr, "not a bench-scale knob");
+  const char* v = std::getenv(name);
+  if (v == nullptr || *v == '\0') return fallback;
+  std::uint64_t x = 0;
+  const char* end = v + std::strlen(v);
+  const auto [ptr, ec] = std::from_chars(v, end, x);
+  if (ec != std::errc() || ptr != end || x < range->lo || x > range->hi) {
+    std::fprintf(stderr, "%s=%s: want an integer in [%llu, %llu]\n", name, v,
+                 static_cast<unsigned long long>(range->lo),
+                 static_cast<unsigned long long>(range->hi));
+    std::exit(2);
+  }
+  return x;
+}
 
 std::vector<std::string> all_workloads() {
   auto names = workloads::workload_names();
@@ -22,13 +69,11 @@ std::unique_ptr<workloads::Workload> make_any_workload(
     const std::string& name) {
   if (name == "mdb") {
     mdb::MtestConfig config;
-    config.inserts_quick =
-        static_cast<std::uint64_t>(env_int("NVC_MDB_INSERTS", 20000));
+    config.inserts_quick = bench_knob("NVC_MDB_INSERTS", 20000);
     // Full scale is capped below the paper's 1M by default: recording the
     // Mtest trace at 1M inserts needs ~10 GB of event memory. Live-only
     // runs can raise it (NVC_MDB_INSERTS_FULL=1000000).
-    config.inserts_full = static_cast<std::uint64_t>(
-        env_int("NVC_MDB_INSERTS_FULL", 200000));
+    config.inserts_full = bench_knob("NVC_MDB_INSERTS_FULL", 200000);
     return mdb::make_mdb_workload(config);
   }
   return workloads::make_workload(name);
@@ -37,15 +82,14 @@ std::unique_ptr<workloads::Workload> make_any_workload(
 workloads::WorkloadParams params_from_env(std::size_t threads) {
   workloads::WorkloadParams p;
   p.threads = threads;
-  p.seed = static_cast<std::uint64_t>(env_int("NVC_SEED", 42));
+  p.seed = bench_knob("NVC_SEED", 42);
   p.full = full_scale();
   return p;
 }
 
 workloads::TraceApi record_trace(const std::string& name,
                                  const workloads::WorkloadParams& params) {
-  const std::size_t arena_mb =
-      static_cast<std::size_t>(env_int("NVC_ARENA_MB", 512));
+  const std::size_t arena_mb = bench_knob("NVC_ARENA_MB", 512);
   workloads::TraceApi api(params.threads, arena_mb << 20);
   make_any_workload(name)->run(api, params);
   return api;
@@ -66,8 +110,7 @@ namespace {
 /// malformed knob ends the run here, before any table is printed.
 runtime::RuntimeConfig live_config() {
   runtime::RuntimeConfig base;
-  base.region_size =
-      static_cast<std::size_t>(env_int("NVC_REGION_MB", 512)) << 20;
+  base.region_size = bench_knob("NVC_REGION_MB", 512) << 20;
   // The simulated backend at a paper-era clflush-to-memory cost. Modern
   // cores retire clflush in tens of ns, which erases the flush-cost premium
   // the paper measures on its 2.8 GHz Xeon E7 (see DESIGN.md);
@@ -149,6 +192,7 @@ workloads::SimConfig sim_config_for_threads(std::size_t threads,
 
 void print_banner(const std::string& experiment,
                   const std::string& paper_ref) {
+  for (const KnobRange& k : kBenchKnobs) (void)bench_knob(k.name, k.lo);
   const runtime::RuntimeConfig config = live_config();
   std::printf("=== %s ===\n", experiment.c_str());
   std::printf("paper: %s\n", paper_ref.c_str());

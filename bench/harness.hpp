@@ -7,9 +7,11 @@
 //    replayed through the policies on hwsim cores (deterministic; used for
 //    the thread-scaling figures since this host exposes one core).
 //
-// Every binary honors NVC_FULL=1 (paper-scale inputs), NVC_THREADS,
-// NVC_SEED, and the runtime knobs of RuntimeConfig::from_env, e.g. NVC_FLUSH
-// (clflush|clflushopt|clwb|sim|count); a malformed runtime knob exits 2.
+// Every binary honors NVC_FULL=1 (paper-scale inputs), the bench-scale
+// knobs read through bench_knob (NVC_THREADS, NVC_SEED, NVC_REPEATS, …) and
+// the runtime knobs of RuntimeConfig::from_env, e.g. NVC_FLUSH
+// (clflush|clflushopt|clwb|sim|count); a malformed knob of either kind
+// exits 2.
 #pragma once
 
 #include <map>
@@ -40,6 +42,13 @@ std::vector<std::string> splash_workloads();
 /// Instantiate any workload, including "mdb".
 std::unique_ptr<workloads::Workload> make_any_workload(
     const std::string& name);
+
+/// Bench-scale knob `name` (README knob table), `fallback` when unset or
+/// empty. A value that is not an integer in the knob's range ends the run
+/// with exit 2 and `NAME=value: want an integer in [lo, hi]`, as
+/// RuntimeConfig::from_env refuses runtime knobs. print_banner checks
+/// every bench-scale knob before a table starts.
+std::uint64_t bench_knob(const char* name, std::uint64_t fallback);
 
 /// Default workload parameters from the environment.
 workloads::WorkloadParams params_from_env(std::size_t threads = 1);

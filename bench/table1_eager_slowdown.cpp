@@ -13,7 +13,7 @@ int main() {
                "volrend 26x, water-nsquared 24x, water-spatial 33x; avg 22x");
 
   const auto params = params_from_env(1);
-  const int repeats = static_cast<int>(env_int("NVC_REPEATS", 3));
+  const int repeats = static_cast<int>(bench_knob("NVC_REPEATS", 3));
   const auto config = default_policy_config();
 
   TablePrinter table({"Program", "BEST (s)", "ER (s)", "Slowdown"});

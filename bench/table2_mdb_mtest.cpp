@@ -13,10 +13,9 @@ int main() {
                "Table II — speedups over ER: AT 2.94x, SC 5.07x, "
                "SC-offline 5.60x, BEST 6.94x");
 
-  const std::size_t threads =
-      static_cast<std::size_t>(env_int("NVC_THREADS", 8));
+  const std::size_t threads = bench_knob("NVC_THREADS", 8);
   const auto params = params_from_env(threads);
-  const int repeats = static_cast<int>(env_int("NVC_REPEATS", 3));
+  const int repeats = static_cast<int>(bench_knob("NVC_REPEATS", 3));
 
   // SC-offline profiles a run first (trace mode) and fixes the knee size.
   auto profile_params = params;

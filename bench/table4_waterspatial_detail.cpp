@@ -18,8 +18,7 @@ int main() {
       "58.2% vs SC 30.8% vs BEST 20.3%; BEST L1 mr rises 20%->71% with "
       "threads");
 
-  const std::size_t max_threads =
-      static_cast<std::size_t>(env_int("NVC_THREADS", 32));
+  const std::size_t max_threads = bench_knob("NVC_THREADS", 32);
   std::vector<std::size_t> thread_counts;
   for (std::size_t t = 1; t <= max_threads; t *= 2) thread_counts.push_back(t);
 

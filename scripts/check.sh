@@ -2,6 +2,8 @@
 # One-command verification gate (referenced from README "Development"):
 #
 #   scripts/check.sh            tier-1 build + full ctest sweep
+#                               + a warning-free Release build
+#                                 (-DNVC_WERROR=ON)
 #                               + asan build of the policy tier (admission/
 #                                 wear suites, `ctest -L policy`)
 #                               + asan pass of the recovery tier (the
@@ -12,7 +14,8 @@
 #                               + a tsan build of the suites that drive the
 #                                 shared write-back path against a real
 #                                 flush worker (fault injection, crash
-#                                 matrix, runtime)
+#                                 matrix, runtime) and of the shadow
+#                                 image's power-cut clock (pmem)
 #                               + the bench regression gate when a fresh
 #                                 BENCH_micro.json exists at the repo root
 #
@@ -42,6 +45,13 @@ echo "== tier-1: default build + full test sweep =="
 cmake --preset default >/dev/null
 cmake --build build -j "$(nproc)"
 ctest --test-dir build -j "$jobs" --output-on-failure
+
+# Every warning is a build failure in Release (the optimizer's own
+# diagnostics, e.g. -Wrestrict, only fire there).
+echo "== werror: Release build, warnings as errors =="
+cmake -B build-werror -S . -DCMAKE_BUILD_TYPE=Release -DNVC_WERROR=ON \
+    >/dev/null
+cmake --build build-werror -j "$(nproc)"
 
 # The durable-structure tier runs again with FliT elision DISABLED: the
 # flush-everything baseline is a distinct protocol dimension (every
@@ -78,15 +88,18 @@ cmake --build build-nosimd -j "$(nproc)" \
     --target test_recovery_units test_recovery_fuzz
 ctest --test-dir build-nosimd -L recovery -j "$jobs" --output-on-failure
 
-# Runtime and crash rig share one WritebackPath; these suites run it against
-# the real flush worker (fault latches, async crash matrix, runtime
-# threads), so the producer/worker handoffs get a ThreadSanitizer pass.
+# Runtime and crash rig share one FaseContext and WritebackPath; these suites
+# run it against the real flush worker (fault latches, async crash matrix,
+# runtime threads), and test_pmem races a flusher against a store across
+# the shadow image's power cut, so the producer/worker handoffs get a
+# ThreadSanitizer pass.
 if [ "$run_tsan" = 1 ]; then
-  echo "== tsan: write-back path suites (fault, crash matrix, runtime) =="
+  echo "== tsan: write-back path suites (fault, crash matrix, runtime, pmem) =="
   cmake --preset tsan -DNVC_BUILD_BENCH=OFF -DNVC_BUILD_EXAMPLES=OFF >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
-      --target test_fault_injection test_crash_matrix test_runtime
-  for suite in test_fault_injection test_crash_matrix test_runtime; do
+      --target test_fault_injection test_crash_matrix test_runtime test_pmem
+  for suite in test_fault_injection test_crash_matrix test_runtime \
+      test_pmem; do
     ./build-tsan/tests/"$suite"
   done
 fi

@@ -1,9 +1,7 @@
-// Lenient environment readers for bench-scale and test knobs. Every bench
-// binary honors:
-//   NVC_FULL=1        run paper-scale problem sizes (defaults are scaled down)
-//   NVC_THREADS=...   cap the thread sweep
-//   NVC_SEED=...      workload RNG seed
-// Runtime knobs go through RuntimeConfig::from_env, which refuses bad values.
+// Lenient environment readers for test knobs and NVC_FULL=1 (run
+// paper-scale problem sizes; defaults are scaled down). Runtime knobs go
+// through RuntimeConfig::from_env and bench-scale knobs (NVC_THREADS,
+// NVC_SEED, …) through bench::bench_knob, which both refuse bad values.
 #pragma once
 
 #include <cstdint>

@@ -57,7 +57,8 @@ FlushElisionTable::Tag FlushElisionTable::tag(LineAddr line) {
 
 void FlushElisionTable::untag(LineAddr line, Tag where) {
   if (where == Tag::kShared) {
-    const std::uint64_t prev = shared_.fetch_sub(1, std::memory_order_acq_rel);
+    [[maybe_unused]] const std::uint64_t prev =
+        shared_.fetch_sub(1, std::memory_order_acq_rel);
     NVC_ASSERT(prev > 0);
     return;
   }

@@ -6,11 +6,23 @@
 // affected cache line into the durable image, and crash() discards all
 // unflushed state. Tests drive a policy against this model and then check
 // what an actual power failure would have left in NVRAM.
+//
+// It is also the one power-cut model of the crash suites (the crash rig,
+// ShadowPSpace, the MDB crash test). Once start_clock() runs, every
+// flush_line() and store() claims the next *event index* under the image's
+// lock, atomically with its copy, so a cut is one consistent point even
+// while a flush worker races the application thread. freeze_at(e) models
+// power failing at event e: the first claim past e freezes the image, and
+// no later write-back reaches the durable image — except that the gapless
+// burst of write-backs racing the cut may land torn (see maybe_tear in the
+// .cpp). Traffic before start_clock() is setup: it claims index 0 and can
+// never be cut away.
 #pragma once
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -27,7 +39,8 @@ class ShadowPmem {
 
   std::size_t size() const noexcept { return size_; }
 
-  /// Write `len` bytes at byte offset `addr` into the volatile image.
+  /// Write `len` bytes at byte offset `addr` into the volatile image
+  /// (claims an event while the clock runs).
   void store(PmAddr addr, const void* data, std::size_t len);
 
   /// Convenience: store a trivially-copyable value.
@@ -46,15 +59,16 @@ class ShadowPmem {
     return v;
   }
 
-  /// Persist one cache line: copy it from volatile to durable. Dropped
-  /// (volatile image untouched, flush not counted) while frozen. Returns
-  /// false when an attached FaultInjector failed the attempt (the durable
-  /// image is untouched); frozen drops return true — power is off, so no
-  /// software could observe the failure anyway.
+  /// Persist one cache line: copy it from volatile to durable (claims an
+  /// event while the clock runs). Dropped (flush not counted) once the
+  /// clock passed the cut, save a torn landing inside the cut's burst.
+  /// Returns false when an attached FaultInjector failed the attempt (the
+  /// durable image is untouched); dropped flushes return true — power is
+  /// off, so no software could observe the failure anyway.
   bool flush_line(LineAddr line);
 
   /// Torn write-back: persist only the first `bytes` bytes of `line`
-  /// (a multiple of 8 < 64). Works even while frozen — this models the
+  /// (a multiple of 8 < 64). Works even past the cut — this models the
   /// write-back that raced the power cut and partially landed. The line
   /// stays dirty: its remaining bytes are still unpersisted.
   void flush_line_torn(LineAddr line, std::size_t bytes);
@@ -74,15 +88,27 @@ class ShadowPmem {
 
   /// Power failure: all unflushed lines are lost; the volatile image is
   /// reloaded from the durable image (as a restarted process would see).
-  /// Power is back after the restart: a preceding freeze() is cleared.
+  /// Power is back after the restart and the clock stops, so recovery's
+  /// own traffic is never cut.
   void crash();
 
-  /// Power is off from this instant: every subsequent flush is dropped —
-  /// nothing can reach the durable image until crash() restarts the
-  /// machine. Crash-injection rigs call this at their freeze point so no
-  /// write-back path, however indirect, can leak past the power cut.
-  void freeze() noexcept { frozen_ = true; }
-  bool frozen() const noexcept { return frozen_; }
+  // --- power-cut clock (see file comment) -----------------------------------
+
+  /// End of setup: from here on flushes and stores claim event indices.
+  void start_clock();
+  /// Claim the next index (0 before start_clock()). For clients that put
+  /// their own events on this clock, e.g. a history recorder's timestamps.
+  std::uint64_t claim_event();
+  /// Indices claimed so far.
+  std::uint64_t events() const;
+  /// Power fails once the clock passes `event`.
+  void freeze_at(std::uint64_t event);
+  /// A fence issued by software. After the cut it closes the tear window:
+  /// ordering issued after the cut never completed.
+  void fence();
+  /// Max lines of the burst racing the cut that may land torn (the modeled
+  /// write-queue depth).
+  void set_tear_burst(std::size_t lines);
 
   /// Read from the durable image (what recovery would see after a crash).
   void load_durable(PmAddr addr, void* out, std::size_t len) const;
@@ -126,10 +152,26 @@ class ShadowPmem {
   using AlignedImage = std::unique_ptr<std::uint8_t[], decltype(&std::free)>;
   static AlignedImage make_image(std::size_t size);
 
+  /// Caller holds mutex_.
+  std::uint64_t claim_locked();
+  void maybe_tear(LineAddr line, std::uint64_t event);
+  void flush_torn_locked(LineAddr line, std::size_t bytes);
+
   std::size_t size_;
   AlignedImage volatile_;
   AlignedImage durable_;
+  /// Pairs every claimed index with its copy; a flush worker and the
+  /// application thread may write back and store concurrently.
+  mutable std::mutex mutex_;
   bool frozen_ = false;
+  bool counting_ = false;
+  std::uint64_t events_ = 0;
+  std::uint64_t freeze_event_ = ~std::uint64_t{0};
+  /// Tear window over the burst racing the cut (see maybe_tear).
+  std::size_t tear_burst_ = 8;
+  std::size_t tear_depth_ = 0;
+  std::uint64_t tear_last_event_ = 0;
+  bool tear_closed_ = false;
   FaultInjector* injector_ = nullptr;
   std::unordered_set<LineAddr> dirty_;
   std::unordered_map<LineAddr, std::uint64_t> line_writes_;

@@ -276,11 +276,10 @@ void RecoveryManager::verify_data(RecoveryReport& report) {
     }
   }
   if (report.data_lines_failed_verify > kMaxDetailed) {
-    note_defect(report,
-                "(" +
-                    std::to_string(report.data_lines_failed_verify -
-                                   kMaxDetailed) +
-                    " more data lines fail verification)");
+    std::string more = "(";
+    more += std::to_string(report.data_lines_failed_verify - kMaxDetailed);
+    more += " more data lines fail verification)";
+    note_defect(report, std::move(more));
   }
 }
 

@@ -10,6 +10,7 @@
 #include "core/flush_pipeline.hpp"
 #include "pmem/wear.hpp"
 #include "runtime/backend_sink.hpp"
+#include "runtime/fase_context.hpp"
 #include "runtime/scrub.hpp"
 #include "runtime/writeback_path.hpp"
 
@@ -37,16 +38,16 @@ core::FlushDeviceModel device_model(const RuntimeConfig& config) {
   return model;
 }
 
-/// The context's write-back route over its backend sinks and log. With
-/// async_flush it opens the thread's ring to the shared flush worker; the
-/// channel owns the worker-side stack (posted write-backs, private backend)
-/// so it stays valid even if the worker holds it after the runtime dies.
-WritebackPath make_writeback_path(
+/// The context's write-back route over its backend sinks. With async_flush
+/// it opens the thread's ring to the shared flush worker; the channel owns
+/// the worker-side stack (posted write-backs, private backend) so it stays
+/// valid even if the worker holds it after the runtime dies.
+WritebackPath::Inputs writeback_inputs(
     const RuntimeConfig& config,
     const std::shared_ptr<pmem::FaultInjector>& injector,
     const std::shared_ptr<pmem::WearTracker>& wear,
     const std::shared_ptr<core::FlushElisionTable>& elision,
-    BackendSink* data, BackendSink* log_sink, UndoLog* log) {
+    BackendSink* data, BackendSink* log_sink) {
   // The retry/quarantine layer arms only when the injector can actually
   // fire. An attached-but-idle injector (NVC_FAULT_ATTACH with every rate
   // zero) keeps the application-thread backend hooks in place — that is
@@ -74,14 +75,13 @@ WritebackPath make_writeback_path(
                          elision),
         depth);
   }
-  return WritebackPath({.data = data,
-                        .log_sink = log_sink,
-                        .log = log,
-                        .faults = std::move(faults),
-                        .retry = retry_policy(config.fault),
-                        .elision = elision,
-                        .channel = std::move(channel),
-                        .device = device_model(config)});
+  return {.data = data,
+          .log_sink = log_sink,
+          .faults = std::move(faults),
+          .retry = retry_policy(config.fault),
+          .elision = elision,
+          .channel = std::move(channel),
+          .device = device_model(config)};
 }
 
 }  // namespace
@@ -97,13 +97,13 @@ struct Runtime::ThreadContext {
         log_backend(config.flush, config.simulated_flush_ns),
         sink(&backend),
         log_sink(&log_backend),
-        policy(core::make_policy(config.policy, config.policy_config)),
-        log(log_base != nullptr
-                ? std::make_unique<UndoLog>(log_base, config.log_segment_size,
-                                            &log_sink, config.log_sync)
-                : nullptr),
-        path(make_writeback_path(config, injector, wear, elision, &sink,
-                                 &log_sink, log.get())) {
+        fase(core::make_policy(config.policy, config.policy_config),
+             log_base != nullptr
+                 ? std::make_unique<UndoLog>(log_base, config.log_segment_size,
+                                             &log_sink, config.log_sync)
+                 : nullptr,
+             writeback_inputs(config, injector, wear, elision, &sink,
+                              &log_sink)) {
     if (injector != nullptr) {
       backend.set_fault_injector(injector.get());
       log_backend.set_fault_injector(injector.get());
@@ -119,13 +119,10 @@ struct Runtime::ThreadContext {
   pmem::FlushBackend log_backend;  // undo-log persistence traffic
   BackendSink sink;
   BackendSink log_sink;
-  std::unique_ptr<core::Policy> policy;
-  std::unique_ptr<UndoLog> log;
-  /// Declared after the sinks and log it routes into: its destructor
-  /// drains the flush ring while they (and the data region — contexts die
-  /// before the allocator in ~Runtime) are still alive.
-  WritebackPath path;
-  std::uint32_t fase_depth = 0;
+  /// Declared after the sinks it routes into: its write-back path drains
+  /// the flush ring on destruction while they (and the data region —
+  /// contexts die before the allocator in ~Runtime) are still alive.
+  FaseContext fase;
   /// Data-region line indices this FASE has touched (NVC_VERIFY_DATA only;
   /// stays empty otherwise). fase_end publishes their commit-time checksums
   /// into the shared LineVerifyTable after a successful log commit.
@@ -237,10 +234,10 @@ Runtime::~Runtime() {
   {
     std::lock_guard<std::mutex> lock(contexts_mutex_);
     for (const auto& c : contexts_) {
-      if (c->path.channel()) c->path.channel()->wait_drained();
-      if (c->fase_depth != 0 || c->path.commit_suspended()) quiescent = false;
-      if (c->path.faults() != nullptr &&
-          c->path.faults()->quarantined_count() > 0) {
+      const WritebackPath& path = c->fase.path();
+      if (path.channel()) path.channel()->wait_drained();
+      if (c->fase.depth() != 0 || path.commit_suspended()) quiescent = false;
+      if (path.faults() != nullptr && path.faults()->quarantined_count() > 0) {
         quiescent = false;
       }
     }
@@ -323,32 +320,14 @@ void* Runtime::get_root() const {
   return allocator_->resolve(allocator_->root());
 }
 
-void Runtime::fase_begin() {
-  ThreadContext& c = ctx();
-  if (c.fase_depth++ == 0) {
-    c.path.maybe_degrade(config_.fault.degrade_after);
-    c.policy->on_fase_begin(c.path.route());
-  }
-}
+void Runtime::fase_begin() { ctx().fase.begin(config_.fault.degrade_after); }
 
 void Runtime::fase_end() {
   ThreadContext& c = ctx();
-  NVC_REQUIRE(c.fase_depth > 0, "fase_end without matching fase_begin");
-  if (--c.fase_depth == 0) {
-    c.policy->on_fase_end(c.path.route());
-    if (c.log) {
-      // Commit suspension is checked after the policy's flushes above,
-      // which is where quarantine verdicts land. Touched lines of a
-      // suspended commit stay dirty in the verify table — their content
-      // was never committed, so no checksum may vouch for it.
-      if (!c.path.commit_allowed()) return;
-      if (c.log->commit()) publish_commit(c);  // atomic commit point
-    } else {
-      // No undo log: the FASE boundary itself is the commit point for
-      // checksum purposes.
-      publish_commit(c);
-    }
-  }
+  // Touched lines of a suspended or failed commit stay dirty in the verify
+  // table — their content was never committed, so no checksum may vouch
+  // for it.
+  if (c.fase.end()) publish_commit(c);
 }
 
 void Runtime::publish_commit(ThreadContext& c) {
@@ -367,35 +346,27 @@ void Runtime::publish_commit(ThreadContext& c) {
 void Runtime::pstore(void* dst, const void* src, std::size_t len) {
   NVC_REQUIRE(len > 0);
   ThreadContext& c = ctx();
-  if (c.log && c.fase_depth > 0) {
-    // Log the old value before overwriting (undo logging); large stores are
-    // logged in kMaxPayload pieces.
-    const auto token = allocator_->region().offset_of(dst);
-    std::size_t done = 0;
-    while (done < len) {
-      const auto piece = static_cast<std::uint32_t>(
-          std::min<std::size_t>(len - done, UndoLog::kMaxPayload));
-      c.log->record(token + done, static_cast<const char*>(dst) + done,
-                    piece);
-      done += piece;
-    }
-    const auto a = reinterpret_cast<PmAddr>(dst);
-    c.path.before_store(line_of(a), line_of(a + len - 1));
+  const auto a = reinterpret_cast<PmAddr>(dst);
+  const LineAddr first = line_of(a);
+  const LineAddr last = line_of(a + len - 1);
+  if (c.fase.logging()) {
+    // Log the old value before overwriting (undo logging).
+    c.fase.log_store(allocator_->region().offset_of(dst), dst, len, first,
+                     last);
   }
   // Dirty the verify-table lines *before* the write: a scrub slice running
   // concurrently must never hash the new bytes against the old commit's
   // checksum (LineVerifyTable::verify re-reads the slot after hashing).
   if (verify_table_ != nullptr) mark_unverified(c, dst, len);
   std::memcpy(dst, src, len);
-  pwrote_in(c, dst, len);
+  c.fase.stored(first, last);
 }
 
 void Runtime::persist_barrier() {
-  ThreadContext& c = ctx();
   // Flush everything the policy has buffered and drain — without signalling
   // a FASE boundary (the FASE stays open; the sampling policy's renamer
   // epoch and deferred resize application must not fire mid-FASE).
-  c.policy->flush_buffered(c.path.route());
+  ctx().fase.barrier();
 }
 
 void Runtime::pwrote(const void* addr, std::size_t len) {
@@ -404,7 +375,8 @@ void Runtime::pwrote(const void* addr, std::size_t len) {
   // Report-only: the bytes already landed, so a scrub slice may have hashed
   // them before this marks the lines dirty (DESIGN.md §14).
   if (verify_table_ != nullptr) mark_unverified(c, addr, len);
-  pwrote_in(c, addr, len);
+  const auto a = reinterpret_cast<PmAddr>(addr);
+  c.fase.stored(line_of(a), line_of(a + len - 1));
 }
 
 void Runtime::mark_unverified(ThreadContext& c, const void* addr,
@@ -421,17 +393,7 @@ void Runtime::mark_unverified(ThreadContext& c, const void* addr,
   for (LineAddr line = line_of(a); line <= line_of(a + len - 1); ++line) {
     const auto idx = static_cast<std::size_t>(line - base_line);
     verify_table_->mark_dirty(idx);
-    if (c.fase_depth > 0) c.touched_lines.push_back(idx);
-  }
-}
-
-void Runtime::pwrote_in(ThreadContext& c, const void* addr, std::size_t len) {
-  const auto a = reinterpret_cast<PmAddr>(addr);
-  const LineAddr first = line_of(a);
-  const LineAddr last = line_of(a + len - 1);
-  core::FlushSink& sink = c.path.route();
-  for (LineAddr line = first; line <= last; ++line) {
-    c.policy->on_store(line, sink);
+    if (c.fase.depth() > 0) c.touched_lines.push_back(idx);
   }
 }
 
@@ -477,17 +439,15 @@ ScrubStats Runtime::scrub_stats() const {
   return scrubber_ != nullptr ? scrubber_->stats() : ScrubStats{};
 }
 
-void Runtime::thread_flush() {
-  ThreadContext& c = ctx();
-  c.policy->finish(c.path.route());
-}
+void Runtime::thread_flush() { ctx().fase.finish(); }
 
 RuntimeStats Runtime::stats() const {
   std::lock_guard<std::mutex> lock(contexts_mutex_);
   RuntimeStats s;
   s.threads = contexts_.size();
   for (const auto& c : contexts_) {
-    const core::PolicyCounters& pc = c->policy->counters();
+    const WritebackPath& path = c->fase.path();
+    const core::PolicyCounters& pc = c->fase.policy().counters();
     s.stores += pc.stores;
     s.combined += pc.combined;
     s.fases += pc.fases;
@@ -495,7 +455,7 @@ RuntimeStats Runtime::stats() const {
     s.bypassed_stores += pc.bypassed;
     s.flushes += c->backend.flush_count();
     s.fences += c->backend.fence_count();
-    if (const core::FlushChannel* channel = c->path.channel()) {
+    if (const core::FlushChannel* channel = path.channel()) {
       // Lines written back through the flush-behind pipeline. The channel's
       // release-ordered counter is the authoritative count; the worker-side
       // backend's plain counters are never read here, so stats() cannot
@@ -506,21 +466,22 @@ RuntimeStats Runtime::stats() const {
     }
     s.log_flushes += c->log_backend.flush_count();
     s.log_fences += c->log_backend.fence_count();
-    if (c->log) {
-      s.log_records += c->log->records();
-      s.log_bytes += c->log->bytes_logged();
-      s.log_syncs += c->log->sync_points();
+    if (c->fase.log() != nullptr) {
+      s.log_records += c->fase.log()->records();
+      s.log_bytes += c->fase.log()->bytes_logged();
+      s.log_syncs += c->fase.log()->sync_points();
     }
-    if (const core::FaultStats* faults = c->path.faults()) {
+    if (const core::FaultStats* faults = path.faults()) {
       s.transient_faults += faults->transients();
       s.flush_retries += faults->retries();
       s.quarantined_lines += faults->quarantined_count();
-      s.flush_degrades += c->path.flush_degraded() ? 1 : 0;
-      s.log_degrades += c->path.log_degraded() ? 1 : 0;
+      s.flush_degrades += path.flush_degraded() ? 1 : 0;
+      s.log_degrades += path.log_degraded() ? 1 : 0;
     }
-    s.elided_flushes += c->path.elided_count();
-    s.elision_reflushes += c->path.reflushed_count();
-    if (const std::size_t size = c->policy->current_cache_size(); size > 0) {
+    s.elided_flushes += path.elided_count();
+    s.elision_reflushes += path.reflushed_count();
+    if (const std::size_t size = c->fase.policy().current_cache_size();
+        size > 0) {
       s.cache_sizes.push_back(size);
     }
   }
@@ -544,16 +505,17 @@ HealthReport Runtime::health() const {
   HealthReport report;
   report.faults_attached = injector_ != nullptr;
   for (const auto& c : contexts_) {
-    const core::FaultStats* faults = c->path.faults();
+    const WritebackPath& path = c->fase.path();
+    const core::FaultStats* faults = path.faults();
     if (faults == nullptr) continue;
     report.transient_faults += faults->transients();
     report.flush_retries += faults->retries();
     const std::vector<LineAddr> lines = faults->quarantined_lines();
     report.quarantined_lines.insert(report.quarantined_lines.end(),
                                     lines.begin(), lines.end());
-    report.flush_degraded_contexts += c->path.flush_degraded() ? 1 : 0;
-    report.log_degraded_contexts += c->path.log_degraded() ? 1 : 0;
-    report.commit_suspended_contexts += c->path.commit_suspended() ? 1 : 0;
+    report.flush_degraded_contexts += path.flush_degraded() ? 1 : 0;
+    report.log_degraded_contexts += path.log_degraded() ? 1 : 0;
+    report.commit_suspended_contexts += path.commit_suspended() ? 1 : 0;
   }
   if (scrub_faults_ != nullptr) {
     // Scrub-discovered media failures join the same quarantine ledger as
@@ -611,7 +573,7 @@ void Runtime::destroy_storage() {
     // is teardown — so draining from this thread is safe.
     std::lock_guard<std::mutex> lock(contexts_mutex_);
     for (const auto& c : contexts_) {
-      if (c->path.channel()) c->path.channel()->wait_drained();
+      if (c->fase.path().channel()) c->fase.path().channel()->wait_drained();
     }
   }
   allocator_.reset();

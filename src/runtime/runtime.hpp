@@ -10,9 +10,10 @@
 //
 // Responsibilities:
 //   * owns the persistent data region and heap (pmem::PmemAllocator);
-//   * maintains one ThreadContext per thread: caching policy instance, flush
-//     backend, undo-log segment — all thread-private, lock-free on the hot
-//     path (paper Section II-B);
+//   * maintains one ThreadContext per thread: flush backends plus a
+//     FaseContext (runtime/fase_context.hpp) holding the caching policy
+//     instance, undo-log segment and write-back path — all thread-private,
+//     lock-free on the hot path (paper Section II-B);
 //   * FASE nesting: only outermost begin/end reach the policy and the log
 //     commit (a FASE is lock-scoped and may nest, unlike a transaction);
 //   * durable undo logging + recovery for failure atomicity;
@@ -268,8 +269,6 @@ class Runtime {
 
   ThreadContext& ctx();
   ThreadContext& ctx_slow();
-  /// Report [addr, addr+len) to the caching policy.
-  void pwrote_in(ThreadContext& c, const void* addr, std::size_t len);
   /// Dirty the store's verify-table lines and record them for the commit
   /// (NVC_VERIFY_DATA only; callers test verify_table_).
   void mark_unverified(ThreadContext& c, const void* addr, std::size_t len);

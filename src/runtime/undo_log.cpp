@@ -39,14 +39,10 @@ UndoLog::UndoLog(void* base, std::size_t size, core::FlushSink* sink,
     const std::uint64_t state = header()->state;
     gen_ = state_gen(state);
     synced_tail_ = state_tail(state);
-    const std::vector<std::uint64_t> offsets = walk_entries();
-    appended_tail_ = synced_tail_;
-    if (!offsets.empty()) {
-      const auto* head =
-          reinterpret_cast<const EntryHead*>(base_ + offsets.back());
-      appended_tail_ = offsets.back() + sizeof(EntryHead) +
-                       align_up(head->len, 8);
-    }
+    const Inspection ins = inspect(base_, size_);
+    NVC_REQUIRE(ins.tail_covered,
+                "corrupt undo log: synced entries fail validation");
+    appended_tail_ = ins.certified_extent;
   }
 }
 
@@ -72,7 +68,7 @@ bool UndoLog::publish_state(std::uint32_t gen, std::uint64_t tail) {
   header()->state = pack_state(gen, tail);
   if (persist(&header()->state, sizeof(header()->state))) return true;
   // The durable header still holds `previous`: restore the volatile view
-  // to match so in-memory reads (tail(), walk_entries()) never run ahead
+  // to match so in-memory reads (tail(), inspect()) never run ahead
   // of what a crash would leave behind.
   header()->state = previous;
   return false;
@@ -104,14 +100,6 @@ void UndoLog::format() {
 }
 
 bool UndoLog::valid() const { return header()->magic == kMagic; }
-
-bool UndoLog::needs_recovery() const {
-  if (!valid()) return false;
-  if (state_tail(header()->state) > kHeaderSize) return true;
-  // Batched mode can crash with a committed (header-size) durable tail but
-  // appended entries that reached NVRAM; the entry chain self-certifies.
-  return !walk_entries().empty();
-}
 
 std::uint64_t UndoLog::tail() const { return state_tail(header()->state); }
 
@@ -147,13 +135,6 @@ UndoLog::Inspection UndoLog::inspect(const void* base, std::size_t size) {
   // bytes were corrupted after the fact.
   out.tail_covered = out.state_plausible && off >= out.durable_tail;
   return out;
-}
-
-std::vector<std::uint64_t> UndoLog::walk_entries() const {
-  Inspection ins = inspect(base_, size_);
-  NVC_REQUIRE(ins.tail_covered,
-              "corrupt undo log: synced entries fail validation");
-  return std::move(ins.offsets);
 }
 
 void UndoLog::record(std::uint64_t addr_token, const void* current_bytes,

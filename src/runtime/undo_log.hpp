@@ -29,7 +29,9 @@
 // chain forward and replays exactly the records whose check words validate
 // against the current generation, so a tail that lags the appended entries
 // (batched mode) still yields a sound rollback, and stale entries from a
-// committed generation are never replayed.
+// committed generation are never replayed. Rollback is the salvage
+// pipeline's job (runtime/recovery.hpp), which reads segments through
+// inspect().
 #pragma once
 
 #include <cstdint>
@@ -71,10 +73,6 @@ class UndoLog final : public core::EpochLog {
   /// True if the header magic is valid (segment was formatted).
   bool valid() const;
 
-  /// True if the log holds uncommitted entries (crash inside a FASE):
-  /// any entry of the current generation self-certifies.
-  bool needs_recovery() const;
-
   /// Append the current content of [addr, addr+len) as an undo record.
   /// kStrict: durable before returning. kBatched: durable at the next
   /// sync()/strict boundary. len <= kMaxPayload. `addr_token` is the
@@ -106,21 +104,6 @@ class UndoLog final : public core::EpochLog {
   /// Reroute durability traffic (WritebackPath puts its retry layer over
   /// the sink the log was built with). Call before the first write.
   void set_sink(core::FlushSink* sink) noexcept { sink_ = sink; }
-
-  /// Roll back every uncommitted record, newest first. `apply` restores the
-  /// payload bytes at the location identified by the token. Walks the entry
-  /// chain forward to find the recovery extent (see file comment), then
-  /// applies in reverse.
-  template <typename ApplyFn>
-  std::size_t rollback(ApplyFn&& apply) {
-    std::vector<std::uint64_t> offsets = walk_entries();
-    for (auto it = offsets.rbegin(); it != offsets.rend(); ++it) {
-      const auto* head = reinterpret_cast<const EntryHead*>(base_ + *it);
-      apply(head->addr_token, base_ + *it + sizeof(EntryHead), head->len);
-    }
-    commit();
-    return offsets.size();
-  }
 
   /// Durable tail offset (kHeaderSize when empty/committed). In batched
   /// mode this lags appended_tail() until the next sync().
@@ -187,12 +170,6 @@ class UndoLog final : public core::EpochLog {
   LogHeader* header() const { return reinterpret_cast<LogHeader*>(base_); }
   bool persist(const void* p, std::size_t len);
   bool publish_state(std::uint32_t gen, std::uint64_t tail);
-
-  /// Offsets of every entry of the current generation that self-certifies,
-  /// oldest first, starting at kHeaderSize; stops at the first entry that
-  /// fails validation. Requires the chain to cover the durable tail (the
-  /// trusted in-process path; RecoveryManager uses inspect() instead).
-  std::vector<std::uint64_t> walk_entries() const;
 
   char* base_;
   std::size_t size_;

@@ -105,22 +105,8 @@ void HeapPSpace::flush_line_impl(LineAddr line) {
 // --- ShadowPSpace -----------------------------------------------------------
 
 ShadowPSpace::ShadowPSpace(std::size_t bytes, bool elide)
-    : PSpace(elide), shadow_(bytes) {}
-
-std::uint64_t ShadowPSpace::claim_event() {
-  return events_.fetch_add(1, std::memory_order_relaxed) + 1;
-}
-
-void ShadowPSpace::flush_line_impl(LineAddr line) {
-  const std::uint64_t e = claim_event();
-  if (e > freeze_event_) {
-    // Power failed before this write-back: it never reaches the durable
-    // image. Cut the shadow's own power too (belt and braces, exactly as
-    // the crash rig's deterministic mode does) so no later path leaks.
-    if (!shadow_.frozen()) shadow_.freeze();
-    return;
-  }
-  shadow_.flush_line(line);
+    : PSpace(elide), shadow_(bytes) {
+  shadow_.start_clock();
 }
 
 }  // namespace nvc::structures

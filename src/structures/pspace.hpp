@@ -34,12 +34,14 @@
 //   HeapPSpace   — plain heap arena, media writes only counted (optionally
 //                  into a shared pmem::WearTracker). Thread-safe; used by
 //                  the free-running tsan stress tests and the benchmarks.
-//   ShadowPSpace — pmem::ShadowPmem arena with the event-clock power-cut
-//                  model of the crash rig: every media write-back claims a
-//                  monotonically increasing event index, freeze_at(e) drops
-//                  all later write-backs, and the durable image is what a
-//                  restarted process would see. Single-threaded by design
-//                  (the turnstile scheduler serializes virtual threads).
+//   ShadowPSpace — pmem::ShadowPmem arena under the image's own event-clock
+//                  power-cut model (pmem/shadow.hpp), the one the crash rig
+//                  uses: every media write-back claims the next event
+//                  index, shadow().freeze_at(e) drops all later
+//                  write-backs, and the durable image is what a restarted
+//                  process would see. The clock starts at construction, so
+//                  structure setup is on it too. Driven by the turnstile
+//                  scheduler's virtual threads.
 //
 // The seeded-bug hook set_bug_early_untag() reorders the writer protocol to
 // tag→untag→flush: a helper arriving inside that window reads the counter
@@ -202,8 +204,7 @@ class HeapPSpace final : public PSpace {
   pmem::WearTracker* wear_;
 };
 
-/// ShadowPmem arena with the crash rig's event-clock power-cut model.
-/// Single-threaded (turnstile-scheduled virtual threads only).
+/// ShadowPmem arena under the image's event-clock power-cut model.
 class ShadowPSpace final : public PSpace {
  public:
   ShadowPSpace(std::size_t bytes, bool elide);
@@ -214,27 +215,16 @@ class ShadowPSpace final : public PSpace {
     return shadow_.durable_value<std::uint64_t>(off);
   }
 
-  /// Claim the next event index. Media write-backs claim internally; the
-  /// history recorder claims for invocations/returns so crash cuts and
-  /// flush drops live on ONE clock.
-  std::uint64_t claim_event();
-  std::uint64_t events() const noexcept {
-    return events_.load(std::memory_order_relaxed);
-  }
-
-  /// Power fails once the clock passes `event`: later write-backs drop.
-  void freeze_at(std::uint64_t event) noexcept { freeze_event_ = event; }
-
+  /// The image and its clock: freeze_at/events, and claim_event for the
+  /// history recorder, so crash cuts and flush drops live on ONE clock.
   pmem::ShadowPmem& shadow() noexcept { return shadow_; }
   const pmem::ShadowPmem& shadow() const noexcept { return shadow_; }
 
  protected:
-  void flush_line_impl(LineAddr line) override;
+  void flush_line_impl(LineAddr line) override { shadow_.flush_line(line); }
 
  private:
   pmem::ShadowPmem shadow_;
-  std::atomic<std::uint64_t> events_{0};
-  std::uint64_t freeze_event_ = ~std::uint64_t{0};
 };
 
 }  // namespace nvc::structures

@@ -129,8 +129,8 @@ std::string ImageCorruptor::torn_tear(std::vector<std::uint8_t>& image) {
     const std::size_t keep = 8 * (1 + next_below(kCacheLineSize / 8 - 1));
     std::memset(image.data() + line * kCacheLineSize + keep, 0,
                 kCacheLineSize - keep);
-    what += " " + std::to_string(line) + "(keep " + std::to_string(keep) +
-            "B)";
+    what += ' ';
+    what += std::to_string(line) + "(keep " + std::to_string(keep) + "B)";
   }
   return what;
 }

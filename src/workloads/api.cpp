@@ -20,6 +20,7 @@ void ThreadTrace::store_trace(std::vector<LineAddr>* stores,
         boundaries->push_back(stores->size());
         break;
       case TraceEvent::Kind::kFaseBegin:
+      case TraceEvent::Kind::kLoad:
       case TraceEvent::Kind::kCompute:
         break;
     }

@@ -1,7 +1,8 @@
 # Runs BIN with KNOB=VALUE in its environment and passes only when BIN exits
 # non-zero with a message naming the knob and the value: a harness binary
-# parses its runtime knobs through RuntimeConfig::from_env, which refuses
-# malformed values instead of running some other configuration.
+# parses its runtime knobs through RuntimeConfig::from_env and its
+# bench-scale knobs through bench::bench_knob, which refuse malformed values
+# instead of running some other configuration.
 #
 #   cmake -DBIN=<binary> -DKNOB=NVC_ADMIT -DVALUE=bogus -P expect_knob_rejected.cmake
 set(ENV{${KNOB}} "${VALUE}")

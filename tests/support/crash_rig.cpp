@@ -1,77 +1,47 @@
 #include "support/crash_rig.hpp"
 
-#include <algorithm>
-#include <cstring>
+#include <atomic>
+#include <optional>
 
 #include "common/assert.hpp"
+#include "runtime/recovery.hpp"
 #include "support/sinks.hpp"
 
 namespace nvc::testing {
 
-/// Freezeable sink: pointer-based lines are translated to shadow-offset
-/// lines by `shift` (0 for the data path, whose lines already are shadow
-/// offsets; the log writes through raw pointers into the shadow image).
-struct CrashRig::FreezeSink final : core::FlushSink {
-  FreezeSink(CrashRig* owner, LineAddr line_shift)
-      : rig(owner), shift(line_shift) {}
+/// Counting sink into the shadow image: pointer-based lines are translated
+/// to shadow-offset lines by `shift` (0 for the data path, whose lines
+/// already are shadow offsets; the log writes through raw pointers into the
+/// image). The image's clock decides whether a write-back beats the cut.
+struct CrashRig::ShadowSink final : core::FlushSink {
+  ShadowSink(pmem::ShadowPmem* target, LineAddr line_shift)
+      : shadow(target), shift(line_shift) {}
   bool flush_line(LineAddr line) override {
     flushes.fetch_add(1, std::memory_order_relaxed);
-    // Atomically claim this flush's event index: in real-worker async mode
-    // the background worker and the application thread race for slots, and
-    // the power-failure cut must be a single consistent point.
-    const std::uint64_t e = rig->claim_event();
-    if (!rig->powered(e)) {
-      // Power is off: the line never persists — except that write-backs
-      // racing the cut may land torn (fault dimension; no-op when no
-      // injector or the line drew "no tear"). Either way report success:
-      // software running before the cut can never observe this outcome.
-      rig->maybe_tear(line - shift, e);
-      return true;
-    }
-    std::lock_guard<std::mutex> lock(rig->shadow_mutex_);
-    return rig->shadow_.flush_line(line - shift);
+    return shadow->flush_line(line - shift);
   }
   void drain() override {
     fences.fetch_add(1, std::memory_order_relaxed);
-    // A post-cut fence closes the tear window (see CrashRig::maybe_tear):
-    // ordering software issued after the cut never completed, so nothing
-    // sequenced behind this fence can have reached the write queue.
-    if (!rig->powered(rig->events())) rig->note_fence();
+    shadow->fence();
   }
-  CrashRig* rig;
+  pmem::ShadowPmem* shadow;
   LineAddr shift;
   std::atomic<std::uint64_t> flushes{0};
   std::atomic<std::uint64_t> fences{0};
 };
 
-/// Recovery-time sink: never frozen (the machine is back up).
-struct CrashRig::LiveSink final : core::FlushSink {
-  LiveSink(pmem::ShadowPmem* target, LineAddr line_shift)
-      : shadow(target), shift(line_shift) {}
-  bool flush_line(LineAddr line) override {
-    return shadow->flush_line(line - shift);
-  }
-  void drain() override {}
-  pmem::ShadowPmem* shadow;
-  LineAddr shift;
-};
-
-/// One logical runtime thread: private policy, log segment and write-back
-/// path (in async mode with its own flush ring), all against the rig's
-/// shared shadow image and event clock.
+/// One logical runtime thread: the shipped FASE protocol (private policy,
+/// log segment and write-back path — in async mode with its own flush
+/// ring) against the rig's shared shadow image.
 struct CrashRig::Context {
-  Context(CrashRig* rig, LineAddr log_shift)
-      : data_sink(rig, /*shift=*/0), log_sink(rig, log_shift) {}
+  Context(pmem::ShadowPmem* shadow, LineAddr log_shift)
+      : data_sink(shadow, /*shift=*/0), log_sink(shadow, log_shift) {}
 
-  FreezeSink data_sink;
-  FreezeSink log_sink;
-  std::unique_ptr<core::Policy> policy;
+  ShadowSink data_sink;
+  ShadowSink log_sink;
   core::SoftCachePolicy* soft = nullptr;  // set in online_policy mode
-  std::unique_ptr<runtime::UndoLog> log;
-  /// Declared after the sinks and the log: its destructor drains the ring
-  /// while they are still alive.
-  std::unique_ptr<runtime::WritebackPath> path;
-  int fase_depth = 0;
+  /// Declared after the sinks: its path drains the ring through them.
+  std::optional<runtime::FaseContext> fase;
 };
 
 CrashRig::CrashRig(const CrashRigConfig& config)
@@ -101,7 +71,8 @@ CrashRig::CrashRig(const CrashRigConfig& config)
   }
   const core::RetryPolicy retry = runtime::retry_policy(config_.fault);
   for (std::size_t i = 0; i < config_.contexts; ++i) {
-    auto c = std::make_unique<Context>(this, log_shift_);
+    auto c = std::make_unique<Context>(&shadow_, log_shift_);
+    std::unique_ptr<core::Policy> policy;
     core::PolicyConfig pc;
     pc.cache_size = config_.cache_size;
     pc.admission.mode = config_.admission;
@@ -111,19 +82,16 @@ CrashRig::CrashRig(const CrashRigConfig& config)
       // Deterministic async: the analysis channel is never served by the
       // background worker; bursts run only under pump_analysis().
       pc.sampler.manual_analysis = config_.async_analysis;
-      c->policy = core::make_policy(core::PolicyKind::kSoftCache, pc);
-      c->soft = static_cast<core::SoftCachePolicy*>(c->policy.get());
+      policy = core::make_policy(core::PolicyKind::kSoftCache, pc);
+      c->soft = static_cast<core::SoftCachePolicy*>(policy.get());
     } else {
-      c->policy = core::make_policy(core::PolicyKind::kSoftCacheOffline, pc);
+      policy = core::make_policy(core::PolicyKind::kSoftCacheOffline, pc);
     }
-    c->log = std::make_unique<runtime::UndoLog>(
-        shadow_.volatile_base() + log_offset(i), config_.log_bytes,
-        &c->log_sink, config_.mode);
     auto faults = injector_ ? std::make_shared<core::FaultStats>() : nullptr;
     std::shared_ptr<core::FlushChannel> channel;
     if (config_.async_flush) {
       // Flush-behind data path: a tiny ring (overflow falls back to the
-      // synchronous FreezeSink) drained by the background worker — or, in
+      // synchronous ShadowSink) drained by the background worker — or, in
       // manual mode, only by pump_flush() and the helping drain.
       auto worker_sink = runtime::make_worker_sink(
           std::make_unique<ForwardSink>(&c->data_sink), faults, retry,
@@ -134,85 +102,58 @@ CrashRig::CrashRig(const CrashRigConfig& config)
                     : core::FlushWorker::shared().open_channel(
                           std::move(worker_sink), config_.flush_ring);
     }
-    c->path = std::make_unique<runtime::WritebackPath>(
+    c->fase.emplace(
+        std::move(policy),
+        std::make_unique<runtime::UndoLog>(
+            shadow_.volatile_base() + log_offset(i), config_.log_bytes,
+            &c->log_sink, config_.mode),
         runtime::WritebackPath::Inputs{.data = &c->data_sink,
                                        .log_sink = &c->log_sink,
-                                       .log = c->log.get(),
                                        .faults = std::move(faults),
                                        .retry = retry,
                                        .elision = elision_,
                                        .channel = std::move(channel),
                                        .device = {}});
-    c->log->format();  // pre-script: not an event, cannot be frozen away
+    c->fase->log()->format();  // setup: before the clock, never cut away
     contexts_.push_back(std::move(c));
   }
-  counting_ = true;
+  shadow_.set_tear_burst(config_.tear_burst);
+  shadow_.start_clock();
 }
 
 CrashRig::~CrashRig() = default;
 
 void CrashRig::fase_begin(std::size_t ctx) {
-  Context& c = *contexts_[ctx];
-  if (c.fase_depth++ == 0) {
-    c.path->maybe_degrade(config_.fault.degrade_after);
-    c.policy->on_fase_begin(c.path->route());
-  }
+  contexts_[ctx]->fase->begin(config_.fault.degrade_after);
 }
 
 bool CrashRig::fase_end(std::size_t ctx) {
-  Context& c = *contexts_[ctx];
-  NVC_REQUIRE(c.fase_depth > 0, "fase_end without matching fase_begin");
-  if (--c.fase_depth != 0) return false;
-  // As Runtime::fase_end: the policy flushes its buffered lines through
-  // the path (log sync precedes each data flush), then the log commits —
-  // the FASE's atomic commit point — unless a quarantine suspended it.
-  c.policy->on_fase_end(c.path->route());
-  return c.path->commit_allowed() && c.log->commit();
+  return contexts_[ctx]->fase->end();
 }
 
 void CrashRig::pstore(std::size_t ctx, PmAddr addr, const void* bytes,
                       std::size_t len) {
   NVC_REQUIRE(len > 0);
   NVC_REQUIRE(addr + len <= data_bytes(), "pstore past region end");
-  Context& c = *contexts_[ctx];
-  NVC_REQUIRE(c.fase_depth > 0, "rig pstores must be inside a FASE");
+  runtime::FaseContext& fase = *contexts_[ctx]->fase;
+  NVC_REQUIRE(fase.depth() > 0, "rig pstores must be inside a FASE");
+  // The token is the shadow offset, so recovery restores the payload
+  // straight back into the image.
   const PmAddr base = data_offset(ctx) + addr;
-  // Log the old bytes before overwriting, in kMaxPayload pieces (as
-  // Runtime::pstore; the token is the shadow offset, so recovery stores
-  // the payload straight back).
-  std::vector<std::uint8_t> old(len);
-  {
-    std::lock_guard<std::mutex> lock(shadow_mutex_);
-    shadow_.load(base, old.data(), len);
-  }
-  std::size_t done = 0;
-  while (done < len) {
-    const auto piece = static_cast<std::uint32_t>(
-        std::min<std::size_t>(len - done, runtime::UndoLog::kMaxPayload));
-    c.log->record(base + done, old.data() + done, piece);
-    done += piece;
-  }
   const LineAddr first = line_of(base);
   const LineAddr last = line_of(base + len - 1);
-  c.path->before_store(first, last);
-  {
-    std::lock_guard<std::mutex> lock(shadow_mutex_);
-    shadow_.store(base, bytes, len);
-  }
-  claim_event();
-  for (LineAddr line = first; line <= last; ++line) {
-    c.policy->on_store(line, c.path->route());
-  }
+  fase.log_store(base, shadow_.volatile_base() + base, len, first, last);
+  shadow_.store(base, bytes, len);
+  fase.stored(first, last);
 }
 
 void CrashRig::persist_barrier(std::size_t ctx) {
-  Context& c = *contexts_[ctx];
-  c.policy->flush_buffered(c.path->route());
+  contexts_[ctx]->fase->barrier();
 }
 
 bool CrashRig::pump_flush(std::size_t ctx, std::size_t worker) {
-  Context& c = *contexts_[ctx];
-  return c.path->channel() != nullptr && c.path->channel()->pump_one(worker);
+  core::FlushChannel* channel = contexts_[ctx]->fase->path().channel();
+  return channel != nullptr && channel->pump_one(worker);
 }
 
 bool CrashRig::pump_analysis(std::size_t ctx, std::size_t worker) {
@@ -220,77 +161,22 @@ bool CrashRig::pump_analysis(std::size_t ctx, std::size_t worker) {
   return c.soft != nullptr && c.soft->pump_analysis(worker);
 }
 
-void CrashRig::maybe_tear(LineAddr line, std::uint64_t event) {
-  // The write queue racing the power cut can hold *several* lines: every
-  // flush in the gapless run of post-cut events freeze+1, freeze+2, … was
-  // issued back-to-back with no intervening activity, i.e. it sat in the
-  // same in-flight burst when power failed. Each such line independently
-  // drops or lands torn, per the injector's pure per-line tear decision.
-  //
-  // What keeps recovery sound is when the window *closes* — permanently:
-  //   * on any event-index gap (a pstore or powered flush claimed an index:
-  //     the burst was over, later flushes are ordinary post-cut activity
-  //     that never reached the queue);
-  //   * on any post-cut fence (FreezeSink::drain): ordering issued after
-  //     the cut never completed, so flushes sequenced behind it were never
-  //     issued — in particular a batched log sync's fence sits between the
-  //     log flushes and the data flushes it orders, so a data line can
-  //     never tear in ahead of the (dropped) records that cover it;
-  //   * at config_.tear_burst lines (a write queue has finite depth).
-  // Within an open window every log sync ordered before the burst claimed
-  // pre-cut events and is durable, so torn-in data bytes are always covered
-  // by durable undo records, and torn log lines are self-certifying.
-  if (!injector_) return;
-  std::lock_guard<std::mutex> lock(shadow_mutex_);
-  if (tear_closed_) return;
-  if (event == freeze_event_ + 1) {
-    tear_depth_ = 1;
-  } else if (tear_depth_ > 0 && event == tear_last_event_ + 1 &&
-             tear_depth_ < config_.tear_burst) {
-    ++tear_depth_;
-  } else {
-    if (tear_depth_ > 0) tear_closed_ = true;
-    return;
-  }
-  tear_last_event_ = event;
-  const std::size_t bytes = injector_->torn_bytes(line);
-  if (bytes == 0) return;  // this line drops entirely instead of tearing
-  shadow_.flush_line_torn(line, bytes);
-}
-
-void CrashRig::note_fence() {
-  std::lock_guard<std::mutex> lock(shadow_mutex_);
-  if (tear_depth_ > 0) tear_closed_ = true;
-}
-
 const core::FaultStats& CrashRig::fault_stats(std::size_t ctx) const {
   static const core::FaultStats kClean;
-  const core::FaultStats* faults = contexts_[ctx]->path->faults();
+  const core::FaultStats* faults = contexts_[ctx]->fase->path().faults();
   return faults != nullptr ? *faults : kClean;
 }
 
 bool CrashRig::flush_degraded(std::size_t ctx) const {
-  return contexts_[ctx]->path->flush_degraded();
+  return contexts_[ctx]->fase->path().flush_degraded();
 }
 
 bool CrashRig::log_degraded(std::size_t ctx) const {
-  return contexts_[ctx]->path->log_degraded();
+  return contexts_[ctx]->fase->path().log_degraded();
 }
 
 bool CrashRig::commit_suspended(std::size_t ctx) const {
-  return contexts_[ctx]->path->commit_suspended();
-}
-
-std::uint64_t CrashRig::claim_event() {
-  if (!counting_) return 0;
-  const std::uint64_t e = events_.fetch_add(1, std::memory_order_relaxed) + 1;
-  if (!powered(e) && deterministic() && !shadow_.frozen()) {
-    // Deterministic runs execute entirely on this thread, so the first
-    // post-freeze event is a single well-defined instant: cut the shadow
-    // image's power too, closing every conceivable write-back path.
-    shadow_.freeze();
-  }
-  return e;
+  return contexts_[ctx]->fase->path().commit_suspended();
 }
 
 void CrashRig::recover_all() {
@@ -300,7 +186,7 @@ void CrashRig::recover_all() {
   // queued at the freeze point claim post-freeze event indices and drop —
   // power failed with those writes in flight, they never persist.
   for (auto& c : contexts_) {
-    if (c->path->channel()) c->path->channel()->wait_drained();
+    if (auto* channel = c->fase->path().channel()) channel->wait_drained();
   }
   shadow_.crash();  // everything unflushed is gone
   // The restarted machine gets fresh media behavior: recovery's own
@@ -308,26 +194,23 @@ void CrashRig::recover_all() {
   // would leak into every oracle check. (Testing recovery-time faults is a
   // separate scenario, driven explicitly.)
   shadow_.set_fault_injector(nullptr);
-  LiveSink rsink(&shadow_, log_shift_);
-  for (std::size_t i = 0; i < contexts_.size(); ++i) {
-    runtime::UndoLog log(shadow_.volatile_base() + log_offset(i),
-                         config_.log_bytes, &rsink, config_.mode);
-    if (!log.valid()) {
-      // Stillborn context: its header line went bad before format() could
-      // persist. Sound, not silent data loss — every sync of this log
-      // failed, so the gating LogOrderedSink never let one of its data
-      // flushes through; the region's durable image is still all-initial.
-      NVC_REQUIRE(injector_ != nullptr, "log segment lost its format");
-      continue;
-    }
-    if (log.needs_recovery()) {
-      log.rollback(
-          [&](std::uint64_t token, const void* payload, std::uint32_t len) {
-            shadow_.store(token, payload, len);
-          });
-    }
-  }
-  shadow_.flush_all();
+  ShadowSink sink(&shadow_, log_shift_);
+  runtime::RegionView view;
+  view.data = shadow_.volatile_base();
+  view.data_size = config_.contexts * data_bytes();
+  view.logs = shadow_.volatile_base() + log_offset(0);
+  view.log_segment_size = config_.log_bytes;
+  view.log_segments = config_.contexts;
+  view.heap_header = false;  // raw cells, no allocator header
+  view.sink = &sink;
+  const runtime::RecoveryReport report = runtime::RecoveryManager(view).run();
+  NVC_REQUIRE(report.ok(), "crash image failed salvage");
+  // A stillborn context's log header went bad before format() could
+  // persist it. Sound, not silent data loss — every sync of that log
+  // failed, so the gating LogOrderedSink never let one of its data flushes
+  // through; the region's durable image is still all-initial.
+  NVC_REQUIRE(report.segments_stillborn == 0 || injector_ != nullptr,
+              "log segment lost its format");
 }
 
 std::vector<std::uint8_t> CrashRig::recovered_data(std::size_t ctx) {
@@ -368,7 +251,7 @@ std::uint64_t CrashRig::log_fences() const noexcept {
 std::uint64_t CrashRig::bypassed_stores() const noexcept {
   std::uint64_t total = 0;
   for (const auto& c : contexts_) {
-    total += c->policy->counters().bypassed;
+    total += c->fase->policy().counters().bypassed;
   }
   return total;
 }
@@ -376,7 +259,7 @@ std::uint64_t CrashRig::bypassed_stores() const noexcept {
 std::uint64_t CrashRig::elided_flushes() const noexcept {
   std::uint64_t total = 0;
   for (const auto& c : contexts_) {
-    total += c->path->elided_count();
+    total += c->fase->path().elided_count();
   }
   return total;
 }
@@ -384,7 +267,7 @@ std::uint64_t CrashRig::elided_flushes() const noexcept {
 std::uint64_t CrashRig::elision_reflushes() const noexcept {
   std::uint64_t total = 0;
   for (const auto& c : contexts_) {
-    total += c->path->reflushed_count();
+    total += c->fase->path().reflushed_count();
   }
   return total;
 }

@@ -1,28 +1,24 @@
 // Reusable freeze/restart rig for crash-consistency tests (DESIGN.md §9).
 //
-// A miniature FASE engine — caching policy + UndoLog + the runtime's own
-// WritebackPath per context — runs against the ShadowPmem crash model with
-// both the data
-// regions and the log segments living inside one shadow image. Every pstore
-// and every attempted line flush (data or log path) atomically claims a
-// monotonically increasing *event index*; freeze_at(e) models power failing
-// at that instant: flushes that claim a later index are dropped, exactly as
-// write-backs still in flight at a power cut never persist. recovered_data()
-// then restarts from the durable image, runs log recovery, and returns what
-// a restarted process would see — the caller checks it against the set of
-// committed states.
+// A driver over shipped runtime code: each logical context is a
+// runtime::FaseContext — the FASE protocol Runtime runs, over the same
+// WritebackPath composition — whose data region and log segment both live
+// inside one pmem::ShadowPmem image. The power-cut model is the image's
+// own event clock: every pstore and every attempted line flush (data or log
+// path) claims the next event index atomically with its copy, and
+// freeze_at(e) models power failing at that instant — flushes that claim a
+// later index are dropped, exactly as write-backs still in flight at a
+// power cut never persist (the gapless burst racing the cut may land torn
+// when an injector is attached). recovered_data() then restarts from the
+// durable image, runs the runtime's salvage pipeline (RecoveryManager) over
+// it, and returns what a restarted process would see — the caller checks it
+// against the set of committed states.
 //
-// Grown out of tests/test_crash_matrix.cpp (which now uses this rig
-// unchanged in behavior) and generalized for the crash-state fuzzer:
+// What the rig adds around the shipped protocol:
 //
 //   * several logical contexts (runtime threads), each with a private data
-//     region, policy, and log segment, sharing the event clock and freeze;
-//   * byte-granularity pstores of any size/alignment, as Runtime::pstore
-//     makes them — piecewise undo records, the write-after-enqueue hazard
-//     sync, per-touched-line policy reports. The write-back route, hazard
-//     check, degradation latches and commit suspension are not copies:
-//     they are runtime::WritebackPath, the composition Runtime ships;
-//   * nested FASEs (outermost-only policy/commit) and persist_barrier;
+//     region, policy, and log segment, sharing the image and its clock;
+//   * byte-granularity pstores of any size/alignment into the shadow image;
 //   * a *deterministic* flush-behind mode (manual_pipeline): the ring is
 //     never served by the background worker — queued write-backs run only
 //     when the test's virtual scheduler calls pump_flush() — so the whole
@@ -30,23 +26,16 @@
 //   * an online-sampling policy mode with synchronous or manual-async burst
 //     analysis (pump_analysis()), covering the analysis axis of the
 //     mode matrix.
-//
-// In deterministic configurations the rig additionally freezes the shadow
-// image itself once the event clock passes the freeze point (belt and
-// braces: no flush path, however indirect, can leak past the power cut).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/policy.hpp"
 #include "pmem/fault.hpp"
 #include "pmem/shadow.hpp"
-#include "runtime/undo_log.hpp"
-#include "runtime/writeback_path.hpp"
+#include "runtime/fase_context.hpp"
 
 namespace nvc::testing {
 
@@ -79,7 +68,8 @@ struct CrashRigConfig {
   /// cut land torn. Decisions derive from fault.seed, so runs replay.
   pmem::FaultConfig fault;
   /// Max lines of the write-back burst racing the power cut that may land
-  /// torn/dropped (the modeled write-queue depth; see CrashRig::maybe_tear).
+  /// torn/dropped (the modeled write-queue depth; see
+  /// pmem::ShadowPmem::set_tear_burst).
   std::size_t tear_burst = 8;
   /// Online sampler knobs (scaled down so short scripts complete bursts).
   std::uint64_t burst_length = 48;
@@ -148,16 +138,14 @@ class CrashRig {
   // --- crash injection ------------------------------------------------------
 
   /// Power fails once `events()` reaches `event`: later flushes are lost.
-  void freeze_at(std::uint64_t event) { freeze_event_ = event; }
-  std::uint64_t events() const noexcept {
-    return events_.load(std::memory_order_relaxed);
-  }
+  void freeze_at(std::uint64_t event) { shadow_.freeze_at(event); }
+  std::uint64_t events() const { return shadow_.events(); }
 
   /// Restart after the (frozen) power failure: reload from the durable
-  /// image, run log recovery for every context, persist the rolled-back
-  /// bytes, and return the durable data region of `ctx` a restarted
-  /// process would see. Recovery runs once; later calls return slices of
-  /// the same recovered image.
+  /// image, run the salvage pipeline over every context's log segment
+  /// (persisting the rolled-back bytes), and return the durable data region
+  /// of `ctx` a restarted process would see. Recovery runs once; later
+  /// calls return slices of the same recovered image.
   std::vector<std::uint8_t> recovered_data(std::size_t ctx = 0);
 
   /// Durable bytes of `ctx`'s data region, no crash/recovery.
@@ -208,8 +196,7 @@ class CrashRig {
   std::uint64_t torn_flushes() const noexcept { return shadow_.torn_flushes(); }
 
  private:
-  struct FreezeSink;
-  struct LiveSink;
+  struct ShadowSink;
   struct Context;
 
   PmAddr data_offset(std::size_t ctx) const noexcept {
@@ -219,29 +206,6 @@ class CrashRig {
     return config_.contexts * data_bytes() + ctx * config_.log_bytes;
   }
 
-  /// Claim the next event index (0 during pre-script setup, which cannot
-  /// be frozen away).
-  std::uint64_t claim_event();
-
-  /// Torn-write hook, called by FreezeSink for post-freeze flushes: the
-  /// gapless burst of write-backs racing the power cut (event indices
-  /// freeze+1, freeze+2, … with no intervening event or fence, up to
-  /// config_.tear_burst lines) models the in-flight write queue — each of
-  /// its lines independently drops or persists a prefix, per the
-  /// injector's pure per-line torn decision. See the .cpp comment for why
-  /// the window-closing rules keep recovery sound.
-  void maybe_tear(LineAddr line, std::uint64_t event);
-  /// Post-cut fence observed: permanently close an open tear window.
-  void note_fence();
-
-  bool powered(std::uint64_t event) const noexcept {
-    return event <= freeze_event_;
-  }
-  /// True when the whole run executes on the calling thread (no background
-  /// worker in the interleaving): sync flushing, or a manual pipeline.
-  bool deterministic() const noexcept {
-    return !config_.async_flush || config_.manual_pipeline;
-  }
   void recover_all();
 
   CrashRigConfig config_;
@@ -251,21 +215,7 @@ class CrashRig {
   /// worker side of each context's FlushChannel.
   std::shared_ptr<core::FlushElisionTable> elision_;
   LineAddr log_shift_;  // pointer-line -> shadow-offset-line translation
-  bool counting_ = false;
   bool recovered_ = false;
-  std::atomic<std::uint64_t> events_{0};
-  std::uint64_t freeze_event_ = ~std::uint64_t{0};
-  /// Tear-window state (guarded by shadow_mutex_; see maybe_tear).
-  std::size_t tear_depth_ = 0;
-  std::uint64_t tear_last_event_ = 0;
-  bool tear_closed_ = false;
-  /// Serializes shadow-image access: in real-worker async mode the worker's
-  /// write-back of a queued line may race the application thread's store to
-  /// the same line (on hardware the coherent cache arbitrates; the shadow
-  /// model needs a lock). Ordering between the two stays nondeterministic —
-  /// that is the interleaving the crash matrix sweeps; the fuzzer removes
-  /// it with manual_pipeline instead.
-  std::mutex shadow_mutex_;
   std::vector<std::unique_ptr<Context>> contexts_;
 };
 

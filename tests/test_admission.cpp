@@ -320,8 +320,9 @@ TEST(WearTracker, ShadowPmemCountsBytesIncludingTornPrefixes) {
   const pmem::WearStats s = shadow.wear_stats();
   EXPECT_EQ(s.lines_touched, 2u);
   EXPECT_EQ(s.max_line_writes, 2u);
-  // Frozen flushes must not wear the media: power is off.
-  shadow.freeze();
+  // Flushes past the power cut must not wear the media: power is off.
+  shadow.start_clock();
+  shadow.freeze_at(0);
   shadow.flush_line(0);
   EXPECT_EQ(shadow.line_write_count(0), 2u);
 }

@@ -224,7 +224,7 @@ FreezeProbe run_dependent_publish(std::uint64_t seed, bool bug_early_untag,
                                   std::uint64_t freeze_event) {
   ShadowPSpace ps(4 * 1024, /*elide=*/true);
   ps.set_bug_early_untag(bug_early_untag);
-  ps.freeze_at(freeze_event);
+  ps.shadow().freeze_at(freeze_event);
   InterleaveScheduler sched(seed);
   ps.set_yield_hook(sched.hook());
   const POffset x = ps.alloc_lines(1);
@@ -239,7 +239,7 @@ FreezeProbe run_dependent_publish(std::uint64_t seed, bool bug_early_untag,
   });
   sched.run(bodies);
 
-  return {ps.events(), ps.helper_elisions(), ps.durable_u64(x),
+  return {ps.shadow().events(), ps.helper_elisions(), ps.durable_u64(x),
           ps.durable_u64(y)};
 }
 

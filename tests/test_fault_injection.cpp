@@ -229,9 +229,10 @@ TEST(ShadowPmemFaults, TornFlushPersistsAlignedPrefixAndKeepsLineDirty) {
   }
   EXPECT_TRUE(shadow.line_dirty(0));  // the rest is still unpersisted
 
-  // While frozen, a full flush is dropped but the torn path still lands —
-  // it models the write-back racing the power cut itself.
-  shadow.freeze();
+  // Past the power cut a full flush is dropped but the torn path still
+  // lands — it models the write-back racing the cut itself.
+  shadow.start_clock();
+  shadow.freeze_at(0);
   EXPECT_TRUE(shadow.flush_line(1));  // dropped, unobservably "ok"
   shadow.flush_line_torn(1, 8);
   EXPECT_EQ(shadow.torn_flushes(), 2u);

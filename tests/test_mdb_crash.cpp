@@ -29,7 +29,9 @@ namespace {
 
 /// PersistApi over ShadowPmem: app writes go to a real buffer (so the Db
 /// functions normally), wrote() mirrors the bytes into the shadow volatile
-/// image, and policy flushes persist shadow lines — unless frozen.
+/// image, and policy flushes persist shadow lines. The image's own clock
+/// models the power cut: shadow().freeze_at(e) drops every flush past
+/// event e.
 class ShadowApi final : public workloads::PersistApi {
  public:
   ShadowApi(std::size_t bytes, core::PolicyKind kind,
@@ -37,7 +39,7 @@ class ShadowApi final : public workloads::PersistApi {
       : buffer_(static_cast<char*>(std::aligned_alloc(64, bytes)),
                 &std::free),
         shadow_(bytes),
-        sink_(this),
+        sink_(&shadow_),
         policy_(core::make_policy(kind, config)),
         capacity_(bytes) {
     std::memset(buffer_.get(), 0, bytes);
@@ -51,17 +53,12 @@ class ShadowApi final : public workloads::PersistApi {
   }
 
   void fase_begin(std::size_t) override { policy_->on_fase_begin(sink_); }
-  void fase_end(std::size_t) override {
-    ++events_;
-    policy_->on_fase_end(sink_);
-  }
+  void fase_end(std::size_t) override { policy_->on_fase_end(sink_); }
   void persist_barrier(std::size_t) override {
-    ++events_;
     policy_->flush_buffered(sink_);  // flush everything, FASE stays open
   }
 
   void wrote(std::size_t, const void* addr, std::size_t len) override {
-    ++events_;
     const std::size_t off =
         static_cast<std::size_t>(static_cast<const char*>(addr) -
                                  buffer_.get());
@@ -73,9 +70,7 @@ class ShadowApi final : public workloads::PersistApi {
     }
   }
 
-  /// Stop persisting: everything not yet flushed is lost, as at power-off.
-  void freeze_at(std::uint64_t event) { freeze_event_ = event; }
-  std::uint64_t events() const noexcept { return events_; }
+  pmem::ShadowPmem& shadow() noexcept { return shadow_; }
 
   /// The durable image a restarted process would map.
   std::vector<std::uint8_t> durable_image() const {
@@ -87,14 +82,13 @@ class ShadowApi final : public workloads::PersistApi {
  private:
   class Sink final : public core::FlushSink {
    public:
-    explicit Sink(ShadowApi* owner) : owner_(owner) {}
+    explicit Sink(pmem::ShadowPmem* shadow) : shadow_(shadow) {}
     bool flush_line(LineAddr line) override {
-      if (owner_->events_ >= owner_->freeze_event_) return true;  // power off
-      return owner_->shadow_.flush_line(line);
+      return shadow_->flush_line(line);
     }
 
    private:
-    ShadowApi* owner_;
+    pmem::ShadowPmem* shadow_;
   };
 
   std::unique_ptr<char, decltype(&std::free)> buffer_;
@@ -103,17 +97,18 @@ class ShadowApi final : public workloads::PersistApi {
   std::unique_ptr<core::Policy> policy_;
   std::size_t capacity_;
   std::size_t cursor_ = 0;
-  std::uint64_t events_ = 0;
-  std::uint64_t freeze_event_ = ~std::uint64_t{0};
 };
 
 constexpr std::size_t kSlabPages = 192;
 constexpr std::size_t kSlabBytes = kSlabPages * kPageSize;
 
 /// Deterministic transaction script; returns per-committed-txn snapshots.
-std::map<TxnId, std::map<Key, Value>> run_script(workloads::PersistApi& api,
-                                                 int txns) {
+/// Formatting the store is setup: the clock starts once it is done, so
+/// every event of the run is a crash point with a store to recover (an
+/// interrupted mkfs leaves no filesystem).
+std::map<TxnId, std::map<Key, Value>> run_script(ShadowApi& api, int txns) {
   Db db(api, kSlabPages);
+  api.shadow().start_clock();
   std::map<TxnId, std::map<Key, Value>> snapshots;
   std::map<Key, Value> state;
   snapshots[0] = state;  // the freshly formatted, empty tree
@@ -158,14 +153,14 @@ TEST_P(MdbCrash, FrozenImageIsACommittedSnapshot) {
   // Dry run: learn the event count and the per-txn expected snapshots.
   ShadowApi dry(kSlabBytes + (64u << 10), param.kind, config);
   const auto snapshots = run_script(dry, 40);
-  const std::uint64_t total_events = dry.events();
+  const std::uint64_t total_events = dry.shadow().events();
   ASSERT_GT(total_events, 1000u);
 
   // Crash run: same script, durability frozen mid-stream.
   const auto freeze_at = static_cast<std::uint64_t>(
       param.crash_fraction * static_cast<double>(total_events));
   ShadowApi crashed(kSlabBytes + (64u << 10), param.kind, config);
-  crashed.freeze_at(freeze_at);
+  crashed.shadow().freeze_at(freeze_at);
   (void)run_script(crashed, 40);
 
   const auto image = crashed.durable_image();
@@ -208,17 +203,14 @@ TEST(MdbCrash, ManyRandomCrashPointsUnderSc) {
   ShadowApi dry(kSlabBytes + (64u << 10), core::PolicyKind::kSoftCacheOffline,
                 config);
   const auto snapshots = run_script(dry, 40);
-  const std::uint64_t total_events = dry.events();
+  const std::uint64_t total_events = dry.shadow().events();
 
   Rng rng(77);
   for (int round = 0; round < 25; ++round) {
-    // Crash any time after the store was formatted (the ctor's first ~6
-    // events persist the initial metas; before that there is no store to
-    // recover, just as an interrupted mkfs leaves no filesystem).
-    const std::uint64_t freeze_at = 10 + rng.below(total_events - 10);
+    const std::uint64_t freeze_at = rng.below(total_events + 1);
     ShadowApi crashed(kSlabBytes + (64u << 10),
                       core::PolicyKind::kSoftCacheOffline, config);
-    crashed.freeze_at(freeze_at);
+    crashed.shadow().freeze_at(freeze_at);
     (void)run_script(crashed, 40);
     const auto image = crashed.durable_image();
     const Db::ImageContents contents =
@@ -233,7 +225,7 @@ TEST(MdbCrash, BestPolicyLosesEverything) {
   // Sanity: under BEST (no flushes ever), a crash leaves no intact meta.
   core::PolicyConfig config;
   ShadowApi api(kSlabBytes + (64u << 10), core::PolicyKind::kBest, config);
-  api.freeze_at(0);  // nothing ever durable
+  api.shadow().freeze_at(0);  // power fails right after the format
   (void)run_script(api, 5);
   const auto image = api.durable_image();
   EXPECT_DEATH((void)Db::read_image(image.data(), kSlabBytes),

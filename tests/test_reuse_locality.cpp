@@ -3,6 +3,9 @@
 // formula against brute force, and the duality reuse(k) + fp(k) = k (Eq. 5).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ostream>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -160,6 +163,21 @@ struct LocalityCase {
   const char* pattern;  // "random", "sequential", "strided", "zipf-ish"
 };
 
+// Stable names: by default gtest prints a case as a byte dump that holds
+// the `pattern` pointer, so each build would register different names.
+void PrintTo(const LocalityCase& c, std::ostream* os) {
+  *os << c.pattern << " seed " << c.seed << " n " << c.length << " d "
+      << c.distinct;
+}
+
+std::string case_name(
+    const ::testing::TestParamInfo<LocalityCase>& param_info) {
+  std::string name = std::string(param_info.param.pattern) + "_" +
+                     std::to_string(param_info.param.seed);
+  std::replace(name.begin(), name.end(), '-', '_');
+  return name;
+}
+
 std::vector<LineAddr> synthesize(const LocalityCase& c) {
   Rng rng(c.seed);
   std::vector<LineAddr> trace;
@@ -240,7 +258,8 @@ INSTANTIATE_TEST_SUITE_P(
                       LocalityCase{17, 200, 40, "random"},
                       LocalityCase{18, 64, 64, "sequential"},
                       LocalityCase{19, 100, 1, "random"},
-                      LocalityCase{20, 175, 25, "zipf-ish"}));
+                      LocalityCase{20, 175, 25, "zipf-ish"}),
+    case_name);
 
 // --- scaling sanity -----------------------------------------------------------------
 

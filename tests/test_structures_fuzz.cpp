@@ -88,10 +88,10 @@ RunOutcome run_case(std::uint64_t seed, std::uint64_t freeze,
                     bool bug_early_untag, MakeStructure make, OpBody op_body) {
   ShadowPSpace ps(512 * 1024, elide_enabled());
   ps.set_bug_early_untag(bug_early_untag);
-  ps.freeze_at(freeze);
+  ps.shadow().freeze_at(freeze);
   InterleaveScheduler sched(seed);
   ps.set_yield_hook(sched.hook());
-  HistoryRecorder rec(kThreads, [&ps] { return ps.claim_event(); });
+  HistoryRecorder rec(kThreads, [&ps] { return ps.shadow().claim_event(); });
 
   auto structure = make(ps);
   std::vector<std::function<void(std::size_t)>> bodies;
@@ -106,7 +106,7 @@ RunOutcome run_case(std::uint64_t seed, std::uint64_t freeze,
   sched.run(bodies);
 
   RunOutcome out;
-  out.events = ps.events();
+  out.events = ps.shadow().events();
   out.elisions = ps.helper_elisions();
   out.table_pending = ps.table().pending_count();
   out.history = rec.cut(freeze == kNoFreeze ? out.events + 1 : freeze);

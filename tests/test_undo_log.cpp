@@ -1,6 +1,9 @@
 // Direct unit tests for the durable undo log (runtime/undo_log), including
 // the strict per-record and batched per-epoch durability protocols and the
-// self-certifying entry format the batched recovery walk depends on.
+// self-certifying entry format the batched recovery walk depends on. The
+// entry walk is checked through UndoLog::inspect; rollback (newest-first
+// replay, the generation bump) through RecoveryManager, the one recovery
+// path the runtime ships.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -10,6 +13,7 @@
 #include "common/rng.hpp"
 #include "pmem/flush.hpp"
 #include "runtime/backend_sink.hpp"
+#include "runtime/recovery.hpp"
 #include "runtime/undo_log.hpp"
 
 namespace nvc::runtime {
@@ -27,8 +31,49 @@ struct LogFixture : public ::testing::Test {
     return UndoLog(buffer.get(), kSize, &sink, mode);
   }
 
+  /// The segment as the one log of a headerless image over `data`, whose
+  /// bytes the record tokens index.
+  RegionView view() {
+    RegionView v;
+    v.data = data.data();
+    v.data_size = data.size();
+    v.logs = buffer.get();
+    v.log_segment_size = kSize;
+    v.log_segments = 1;
+    v.heap_header = false;
+    return v;
+  }
+  bool needs_recovery() { return RecoveryManager(view()).needs_recovery(); }
+  /// Roll the segment back into `data`; returns records replayed.
+  std::size_t recover() { return RecoveryManager(view()).run().records_undone; }
+  /// Certified entries of the current generation, oldest first.
+  std::vector<UndoLog::EntryHead> entries() const {
+    std::vector<UndoLog::EntryHead> out;
+    const UndoLog::Inspection ins = UndoLog::inspect(buffer.get(), kSize);
+    for (const std::uint64_t off : ins.offsets) {
+      UndoLog::EntryHead head;
+      std::memcpy(&head, buffer.get() + off, sizeof head);
+      out.push_back(head);
+    }
+    return out;
+  }
+  std::vector<std::uint64_t> tokens() const {
+    std::vector<std::uint64_t> out;
+    for (const UndoLog::EntryHead& head : entries()) {
+      out.push_back(head.addr_token);
+    }
+    return out;
+  }
+  template <typename T>
+  T data_at(std::uint64_t token) const {
+    T v;
+    std::memcpy(&v, data.data() + token, sizeof v);
+    return v;
+  }
+
   static constexpr std::size_t kSize = 16 * 1024;
   std::unique_ptr<char, decltype(&std::free)> buffer;
+  std::vector<std::uint8_t> data = std::vector<std::uint8_t>(1024, 0xee);
   pmem::FlushBackend backend;
   BackendSink sink;
 };
@@ -37,14 +82,14 @@ TEST_F(LogFixture, FormatProducesValidEmptyLog) {
   UndoLog log = make_log();
   log.format();
   EXPECT_TRUE(log.valid());
-  EXPECT_FALSE(log.needs_recovery());
+  EXPECT_FALSE(needs_recovery());
   EXPECT_EQ(log.tail(), UndoLog::kHeaderSize);
 }
 
 TEST_F(LogFixture, UnformattedBufferIsInvalid) {
   UndoLog log = make_log();
   EXPECT_FALSE(log.valid());
-  EXPECT_FALSE(log.needs_recovery());
+  EXPECT_FALSE(needs_recovery());
 }
 
 TEST_F(LogFixture, RecordAdvancesTailAndNeedsRecovery) {
@@ -52,7 +97,7 @@ TEST_F(LogFixture, RecordAdvancesTailAndNeedsRecovery) {
   log.format();
   const std::uint64_t old_value = 0x1111;
   log.record(/*addr_token=*/100, &old_value, sizeof old_value);
-  EXPECT_TRUE(log.needs_recovery());
+  EXPECT_TRUE(needs_recovery());
   EXPECT_GT(log.tail(), UndoLog::kHeaderSize);
   EXPECT_EQ(log.records(), 1u);
 }
@@ -63,7 +108,7 @@ TEST_F(LogFixture, CommitTruncates) {
   const std::uint64_t v = 7;
   log.record(1, &v, sizeof v);
   log.commit();
-  EXPECT_FALSE(log.needs_recovery());
+  EXPECT_FALSE(needs_recovery());
   EXPECT_EQ(log.tail(), UndoLog::kHeaderSize);
 }
 
@@ -74,19 +119,13 @@ TEST_F(LogFixture, RollbackAppliesNewestFirst) {
   const std::uint64_t second = 0xBBBB;
   log.record(500, &first, sizeof first);   // older value of token 500
   log.record(500, &second, sizeof second); // newer overwrite of same token
-  std::vector<std::uint64_t> applied;
-  log.rollback([&](std::uint64_t token, const void* bytes, std::uint32_t len) {
-    EXPECT_EQ(token, 500u);
-    EXPECT_EQ(len, sizeof(std::uint64_t));
-    std::uint64_t v;
-    std::memcpy(&v, bytes, sizeof v);
-    applied.push_back(v);
-  });
+  const std::uint32_t gen = UndoLog::inspect(buffer.get(), kSize).gen;
+  EXPECT_EQ(recover(), 2u);
   // Newest record first, so the final applied value is the *oldest* state.
-  ASSERT_EQ(applied.size(), 2u);
-  EXPECT_EQ(applied[0], second);
-  EXPECT_EQ(applied[1], first);
-  EXPECT_FALSE(log.needs_recovery());
+  EXPECT_EQ(data_at<std::uint64_t>(500), first);
+  // The rollback commits: the generation bump de-certifies both records.
+  EXPECT_EQ(UndoLog::inspect(buffer.get(), kSize).gen, gen + 1);
+  EXPECT_FALSE(needs_recovery());
 }
 
 TEST_F(LogFixture, RollbackRestoresExactBytesForManyRecords) {
@@ -102,13 +141,12 @@ TEST_F(LogFixture, RollbackRestoresExactBytesForManyRecords) {
     log.record(token, &value, sizeof value);
     oldest.try_emplace(token, value);
   }
+  EXPECT_EQ(recover(), 100u);
   std::map<std::uint64_t, std::uint32_t> restored;
-  log.rollback([&](std::uint64_t token, const void* bytes, std::uint32_t len) {
-    ASSERT_EQ(len, sizeof(std::uint32_t));
-    std::uint32_t v;
-    std::memcpy(&v, bytes, len);
-    restored[token] = v;  // later (older) applications overwrite
-  });
+  for (const auto& [token, value] : oldest) {
+    (void)value;
+    restored[token] = data_at<std::uint32_t>(token);
+  }
   EXPECT_EQ(restored, oldest);
 }
 
@@ -119,15 +157,17 @@ TEST_F(LogFixture, VariablePayloadSizes) {
   log.record(0, payload.data(), 1);
   log.record(8, payload.data(), 13);  // non-multiple-of-8 length
   log.record(16, payload.data(), UndoLog::kMaxPayload);
-  std::size_t seen = 0;
   std::vector<std::uint32_t> lens;
-  log.rollback([&](std::uint64_t, const void* bytes, std::uint32_t len) {
-    ++seen;
-    lens.push_back(len);
-    EXPECT_EQ(static_cast<const char*>(bytes)[0], 'x');
-  });
-  EXPECT_EQ(seen, 3u);
-  EXPECT_EQ(lens, (std::vector<std::uint32_t>{UndoLog::kMaxPayload, 13, 1}));
+  for (const UndoLog::EntryHead& head : entries()) lens.push_back(head.len);
+  EXPECT_EQ(lens, (std::vector<std::uint32_t>{1, 13, UndoLog::kMaxPayload}));
+  EXPECT_EQ(recover(), 3u);
+  // Each record restores exactly its own length.
+  EXPECT_EQ(data[0], 'x');
+  EXPECT_EQ(data[1], 0xee);
+  for (std::size_t i = 8; i < 16 + UndoLog::kMaxPayload; ++i) {
+    EXPECT_EQ(data[i], 'x') << "byte " << i;
+  }
+  EXPECT_EQ(data[16 + UndoLog::kMaxPayload], 0xee);
 }
 
 TEST_F(LogFixture, StrictRecordPersistsEntryBeforeTail) {
@@ -169,13 +209,10 @@ TEST_F(LogFixture, ReopenedLogSeesPriorRecords) {
   }
   UndoLog reopened = make_log();
   EXPECT_TRUE(reopened.valid());
-  EXPECT_TRUE(reopened.needs_recovery());
-  std::size_t count = 0;
-  reopened.rollback([&](std::uint64_t token, const void*, std::uint32_t) {
-    EXPECT_EQ(token, 42u);
-    ++count;
-  });
-  EXPECT_EQ(count, 1u);
+  EXPECT_TRUE(needs_recovery());
+  EXPECT_EQ(tokens(), (std::vector<std::uint64_t>{42}));
+  EXPECT_EQ(recover(), 1u);
+  EXPECT_EQ(data_at<std::uint64_t>(42), 3u);
 }
 
 // --- batched (epoch) durability ---------------------------------------------
@@ -219,14 +256,13 @@ TEST_F(LogFixture, BatchedUnsyncedEntriesSelfCertifyAcrossReopen) {
     // no sync, no commit: crash
   }
   UndoLog reopened = make_log(LogSyncMode::kBatched);
-  EXPECT_TRUE(reopened.needs_recovery());
+  EXPECT_TRUE(needs_recovery());
   EXPECT_EQ(reopened.tail(), UndoLog::kHeaderSize);
   EXPECT_GT(reopened.appended_tail(), UndoLog::kHeaderSize);
-  std::vector<std::uint64_t> tokens;
-  reopened.rollback([&](std::uint64_t token, const void*, std::uint32_t) {
-    tokens.push_back(token);
-  });
-  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{8, 0}));  // newest first
+  EXPECT_EQ(tokens(), (std::vector<std::uint64_t>{0, 8}));
+  EXPECT_EQ(recover(), 2u);
+  EXPECT_EQ(data_at<std::uint64_t>(0), 0xAu);
+  EXPECT_EQ(data_at<std::uint64_t>(8), 0xBu);
 }
 
 TEST_F(LogFixture, CommittedGenerationEntriesAreNotReplayed) {
@@ -243,11 +279,10 @@ TEST_F(LogFixture, CommittedGenerationEntriesAreNotReplayed) {
   }
   UndoLog reopened = make_log(LogSyncMode::kBatched);
   EXPECT_TRUE(reopened.valid());
-  EXPECT_FALSE(reopened.needs_recovery());
-  std::size_t replayed = 0;
-  reopened.rollback(
-      [&](std::uint64_t, const void*, std::uint32_t) { ++replayed; });
-  EXPECT_EQ(replayed, 0u);
+  EXPECT_FALSE(needs_recovery());
+  EXPECT_TRUE(tokens().empty());
+  EXPECT_EQ(recover(), 0u);
+  EXPECT_EQ(data_at<std::uint64_t>(16), 0xeeeeeeeeeeeeeeeeull);
 }
 
 TEST_F(LogFixture, TornEntryStopsTheRecoveryWalk) {
@@ -260,11 +295,10 @@ TEST_F(LogFixture, TornEntryStopsTheRecoveryWalk) {
   const std::uint64_t second_at = log.appended_tail();
   log.record(8, &b, sizeof b);
   buffer.get()[second_at + 16] ^= 0x5a;  // flip a payload byte (torn write)
-  std::vector<std::uint64_t> tokens;
-  log.rollback([&](std::uint64_t token, const void*, std::uint32_t) {
-    tokens.push_back(token);
-  });
-  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(tokens(), (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(recover(), 1u);
+  EXPECT_EQ(data_at<std::uint64_t>(0), 1u);
+  EXPECT_EQ(data_at<std::uint64_t>(8), 0xeeeeeeeeeeeeeeeeull);
 }
 
 TEST_F(LogFixture, NewGenerationRecordsAfterRecommitAreFound) {
@@ -276,11 +310,10 @@ TEST_F(LogFixture, NewGenerationRecordsAfterRecommitAreFound) {
   log.record(100, &v1, sizeof v1);
   log.commit();
   log.record(200, &v2, sizeof v2);
-  std::vector<std::uint64_t> tokens;
-  log.rollback([&](std::uint64_t token, const void*, std::uint32_t) {
-    tokens.push_back(token);
-  });
-  EXPECT_EQ(tokens, (std::vector<std::uint64_t>{200}));
+  EXPECT_EQ(tokens(), (std::vector<std::uint64_t>{200}));
+  EXPECT_EQ(recover(), 1u);
+  EXPECT_EQ(data_at<std::uint64_t>(100), 0xeeeeeeeeeeeeeeeeull);
+  EXPECT_EQ(data_at<std::uint64_t>(200), 2u);
 }
 
 TEST_F(LogFixture, ParseLogSyncMode) {
