@@ -729,24 +729,47 @@ BENCHMARK(BM_AnalysisPoolDrain)
     ->Threads(32)
     ->UseRealTime();
 
-void BM_FaseNoop(benchmark::State& state) {
+void run_fase_noop(benchmark::State& state, bool logged) {
   // An empty begin/end pair: isolates the per-FASE constant (two context
   // lookups + policy boundary calls), the cost the thread-local fast path
-  // in Runtime::ctx() targets.
+  // in Runtime::ctx() targets. `logged` adds a batched undo log over
+  // simulated flushes: an empty FASE must still commit for free (no log
+  // write-back), so exact_log_flushes reads 0.
   runtime::RuntimeConfig config;
   config.region_name = unique_region();
   config.region_size = 1u << 20;
   config.policy = core::PolicyKind::kBest;
   config.flush = pmem::FlushKind::kCountOnly;
+  if (logged) {
+    config.flush = pmem::FlushKind::kSimulated;
+    config.simulated_flush_ns = env_config.simulated_flush_ns;
+    config.undo_logging = true;
+    config.log_sync = runtime::LogSyncMode::kBatched;
+  }
   runtime::Runtime rt(config);
+  // One FASE outside the timing: registers the context, whose first commit
+  // retires the log generation it adopted from the formatted segment.
+  rt.fase_begin();
+  rt.fase_end();
+  const std::uint64_t setup_log_flushes = rt.stats().log_flushes;
   for (auto _ : state) {
     rt.fase_begin();
     rt.fase_end();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+  if (logged) {
+    state.counters["exact_log_flushes"] = benchmark::Counter(
+        static_cast<double>(rt.stats().log_flushes - setup_log_flushes));
+    state.SetLabel("log=batched/sim");
+  }
   rt.destroy_storage();
 }
+
+void BM_FaseNoop(benchmark::State& state) { run_fase_noop(state, false); }
 BENCHMARK(BM_FaseNoop);
+
+void BM_FaseNoopLogged(benchmark::State& state) { run_fase_noop(state, true); }
+BENCHMARK(BM_FaseNoopLogged);
 
 void BM_FlushInstruction(benchmark::State& state) {
   const auto kind = static_cast<pmem::FlushKind>(state.range(0));

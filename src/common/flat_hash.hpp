@@ -3,10 +3,10 @@
 // The locality analyses (interval extraction, footprint, Mattson, SHARDS,
 // FASE renaming) are O(n) passes whose constant factor is dominated by one
 // hash lookup per trace element. `std::unordered_map` pays a pointer chase
-// per probe (node-based buckets); this table uses the same technique as
-// WriteCache's inner map — power-of-two slot array, linear probing at load
-// factor <= 0.5, backward-shift deletion (no tombstones, so probe chains
-// never degrade and rehash is only ever for growth).
+// per probe (node-based buckets); this table is a power-of-two slot array
+// with linear probing at load factor <= 0.5 and backward-shift deletion (no
+// tombstones, so probe chains never degrade and rehash is only ever for
+// growth).
 //
 // Keys must be trivially copyable integers (cache-line addresses, logical
 // times); values must be default-constructible and movable. Pointers

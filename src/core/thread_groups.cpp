@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "common/assert.hpp"
-#include "common/env.hpp"
+#include "common/knob.hpp"
 
 namespace nvc::core {
 
@@ -122,21 +122,24 @@ std::vector<std::size_t> place_shards(std::size_t shards, std::size_t workers) {
 }
 
 PoolSettings pool_settings_from_env() {
-  const auto pool_size = [](const char* knob) {
-    const std::int64_t requested = env_int(knob, 1);
-    if (requested <= 0) {
+  // Checked like RuntimeConfig::from_env: a malformed value throws
+  // "NVC_X=value: want ..." before any pool starts.
+  const auto pool_size = [](const char* name) {
+    std::size_t requested = 1;
+    knob::read_uint(name, requested);
+    if (requested == 0) {
       return static_cast<std::size_t>(std::max(1, cpu_topology().numa_nodes));
     }
-    return static_cast<std::size_t>(std::min<std::int64_t>(
-        requested, static_cast<std::int64_t>(kMaxPoolWorkers)));
+    return std::min(requested, kMaxPoolWorkers);
   };
   PoolSettings s;
   s.flush_workers = pool_size("NVC_FLUSH_WORKERS");
   s.analysis_workers = pool_size("NVC_ANALYSIS_WORKERS");
-  s.pin = env_int("NVC_PIN", 0) != 0;
-  s.drain_timeout_ns = static_cast<std::uint64_t>(std::max<std::int64_t>(
-                           0, env_int("NVC_FLUSH_DRAIN_TIMEOUT_MS", 0))) *
-                       1000000ULL;
+  knob::read("NVC_PIN", s.pin, knob::parse_switch, knob::kSwitch);
+  std::uint64_t drain_timeout_ms = 0;
+  knob::read_uint("NVC_FLUSH_DRAIN_TIMEOUT_MS", drain_timeout_ms,
+                  std::numeric_limits<std::uint64_t>::max() / 1000000ULL);
+  s.drain_timeout_ns = drain_timeout_ms * 1000000ULL;
   return s;
 }
 

@@ -84,6 +84,8 @@ struct PoolSettings {
   bool pin = false;                    // NVC_PIN=1: pin to the placed CPU
   std::uint64_t drain_timeout_ns = 0;  // NVC_FLUSH_DRAIN_TIMEOUT_MS; 0 = off
 };
+/// Throws std::invalid_argument ("NVC_X=value: want ...") for a malformed
+/// value, like RuntimeConfig::from_env (which calls this to check them).
 PoolSettings pool_settings_from_env();
 
 }  // namespace nvc::core

@@ -2,54 +2,22 @@
 // (README knob table). Set knobs override the caller's defaults; malformed
 // outside input is refused instead of running some other configuration.
 #include <bit>
-#include <charconv>
-#include <cstdlib>
-#include <limits>
 #include <optional>
-#include <stdexcept>
-#include <string>
 #include <string_view>
 
+#include "common/knob.hpp"
+#include "core/thread_groups.hpp"
 #include "runtime/runtime.hpp"
 
 namespace nvc::runtime {
 
 namespace {
 
-/// Overrides `field` when knob `name` is set and non-empty; a value `parse`
-/// refuses (nullopt) throws, naming the knob and the values it accepts.
-template <typename T, typename Parse>
-void read(const char* name, T& field, Parse parse, const std::string& want) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return;
-  const std::optional<T> parsed = parse(std::string_view(v));
-  if (!parsed) {
-    throw std::invalid_argument(std::string(name) + "=" + v + ": want " +
-                                want);
-  }
-  field = *parsed;
-}
-
-/// The whole string as a number: no "+", blanks or trailing text.
-template <typename T>
-std::optional<T> parse_number(std::string_view v) {
-  T x{};
-  const auto [end, ec] = std::from_chars(v.data(), v.data() + v.size(), x);
-  if (ec != std::errc() || end != v.data() + v.size()) return std::nullopt;
-  return x;
-}
-
-template <typename T>
-void read_uint(const char* name, T& field) {
-  constexpr T kMax = std::numeric_limits<T>::max();
-  read(name, field, parse_number<T>,
-       "an integer in [0, " + std::to_string(kMax) + "]");
-}
-
-std::optional<bool> parse_switch(std::string_view v) {
-  if (v != "0" && v != "1") return std::nullopt;
-  return v == "1";
-}
+using knob::kSwitch;
+using knob::parse_number;
+using knob::parse_switch;
+using knob::read;
+using knob::read_uint;
 
 /// A probability or ratio.
 std::optional<double> parse_unit(std::string_view v) {
@@ -62,7 +30,6 @@ std::optional<std::size_t> parse_power_of_two(std::string_view v) {
   return n && std::has_single_bit(*n) ? n : std::nullopt;
 }
 
-constexpr const char* kSwitch = "0|1";
 constexpr const char* kUnit = "a number in [0, 1]";
 
 }  // namespace
@@ -102,6 +69,11 @@ RuntimeConfig RuntimeConfig::from_env(RuntimeConfig c) {
   read_uint("NVC_SEED", f.seed);  // NVC_FAULT_SEED, read next, wins
   read_uint("NVC_FAULT_SEED", f.seed);
   read("NVC_FAULT_ATTACH", f.attach, parse_switch, kSwitch);
+
+  // The worker-pool knobs live outside RuntimeConfig (the pools are
+  // process-wide), but a malformed one is refused here too, before any
+  // worker starts.
+  (void)core::pool_settings_from_env();
   return c;
 }
 

@@ -43,6 +43,9 @@ UndoLog::UndoLog(void* base, std::size_t size, core::FlushSink* sink,
     NVC_REQUIRE(ins.tail_covered,
                 "corrupt undo log: synced entries fail validation");
     appended_tail_ = ins.certified_extent;
+    // A previous run's entries past a torn gap are not in the chain but
+    // still certify under gen_; only a generation bump retires them.
+    inherited_gen_ = true;
   }
 }
 
@@ -176,6 +179,13 @@ bool UndoLog::sync() {
 }
 
 bool UndoLog::commit() {
+  // An empty generation has nothing to de-certify: the durable header
+  // already reads (gen_, kHeaderSize) and no byte past it certifies under
+  // gen_, so a crash before or after this point recovers the same image.
+  // The test is on appended_tail_, not synced_tail_: an appended entry that
+  // never synced may still sit in the media, certified under gen_, until
+  // the bump below de-certifies it.
+  if (appended_tail_ == kHeaderSize && !inherited_gen_) return true;
   // Advancing the generation de-certifies every entry of this FASE in one
   // atomic durable store; unsynced entries are simply discarded.
   if (!publish_state(gen_ + 1, kHeaderSize)) {
@@ -186,6 +196,7 @@ bool UndoLog::commit() {
   }
   ++gen_;
   appended_tail_ = synced_tail_ = kHeaderSize;
+  inherited_gen_ = false;
   return true;
 }
 

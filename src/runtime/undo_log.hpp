@@ -94,6 +94,15 @@ class UndoLog final : public core::EpochLog {
   /// false when the header write-back failed: the generation does NOT
   /// advance (volatile and durable state are restored to the pre-commit
   /// view), so the FASE stays uncommitted and recovery would roll it back.
+  ///
+  /// An empty generation commits for free: when nothing was appended since
+  /// format() or the last commit (synced or not), commit() writes nothing
+  /// and returns true, leaving the generation as it is — the durable header
+  /// already reads (gen, kHeaderSize) and nothing past it certifies, so
+  /// every crash point recovers exactly as with the bump (DESIGN.md §7). A
+  /// reopened segment's first commit always writes: entries a previous run
+  /// appended past a torn gap may still certify under the inherited
+  /// generation.
   bool commit();
 
   /// Graceful degradation latch: switch a batched log to strict, per-record
@@ -178,6 +187,7 @@ class UndoLog final : public core::EpochLog {
   std::uint32_t gen_ = 0;
   std::uint64_t appended_tail_ = kHeaderSize;  // includes unsynced entries
   std::uint64_t synced_tail_ = kHeaderSize;    // durable prefix
+  bool inherited_gen_ = false;  // reopened, not yet committed (see commit())
   std::uint64_t records_ = 0;
   std::uint64_t bytes_logged_ = 0;
   std::uint64_t sync_points_ = 0;

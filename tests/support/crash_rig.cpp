@@ -147,6 +147,17 @@ void CrashRig::pstore(std::size_t ctx, PmAddr addr, const void* bytes,
   fase.stored(first, last);
 }
 
+void CrashRig::pwrote(std::size_t ctx, PmAddr addr, const void* bytes,
+                      std::size_t len) {
+  NVC_REQUIRE(len > 0);
+  NVC_REQUIRE(addr + len <= data_bytes(), "pwrote past region end");
+  runtime::FaseContext& fase = *contexts_[ctx]->fase;
+  NVC_REQUIRE(fase.depth() > 0, "rig pwrotes must be inside a FASE");
+  const PmAddr base = data_offset(ctx) + addr;
+  shadow_.store(base, bytes, len);
+  fase.stored(line_of(base), line_of(base + len - 1));
+}
+
 void CrashRig::persist_barrier(std::size_t ctx) {
   contexts_[ctx]->fase->barrier();
 }

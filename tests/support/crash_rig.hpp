@@ -119,6 +119,16 @@ class CrashRig {
     pstore(ctx, cell * sizeof(std::uint64_t), &value, sizeof value);
   }
 
+  /// Report-only store (Runtime::pwrote): the bytes land and their lines
+  /// reach the policy, but no undo record is logged — nothing rolls them
+  /// back. Must be inside a FASE.
+  void pwrote(std::size_t ctx, PmAddr addr, const void* bytes,
+              std::size_t len);
+
+  void pwrote_u64(std::size_t ctx, std::size_t cell, std::uint64_t value) {
+    pwrote(ctx, cell * sizeof(std::uint64_t), &value, sizeof value);
+  }
+
   /// Mid-FASE persistence barrier: flush everything the context's policy
   /// has buffered, without signalling a FASE boundary.
   void persist_barrier(std::size_t ctx = 0);

@@ -90,6 +90,68 @@ int snapshot_index(const std::vector<DataImage>& snapshots,
   return -1;
 }
 
+/// What the mixed script did, for the log-traffic assertions.
+struct MixedRun {
+  std::vector<DataImage> snapshots;  // per committed FASE, as run_script
+  std::uint64_t records = 0;         // undo records (one per pstore_u64)
+  std::uint64_t logged_fases = 0;    // outermost FASEs that logged a record
+};
+
+/// Logged FASEs interleaved with FASEs that log nothing: empty ones (some
+/// nested) and report-only ones. A report-only FASE writes cells of one
+/// line only, so that line's single write-back makes it all-or-nothing
+/// without a log; every committed FASE is a snapshot.
+MixedRun run_mixed_script(CrashRig& rig) {
+  constexpr std::size_t kCellsPerLine = kCacheLineSize / sizeof(std::uint64_t);
+  MixedRun run;
+  DataImage state{};
+  run.snapshots.push_back(state);
+  Rng rng(7);
+  auto logged_stores = [&](int stores) {
+    for (int s = 0; s < stores; ++s) {
+      const std::size_t cell = rng.below(kCells);
+      const std::uint64_t value = rng();
+      rig.pstore_u64(0, cell, value);
+      state[cell] = value;
+      ++run.records;
+    }
+    ++run.logged_fases;
+  };
+  for (int f = 0; f < 2 * kFases; ++f) {
+    rig.fase_begin();
+    switch (f % 4) {
+      case 0:
+        logged_stores(kStoresPerFase);
+        break;
+      case 1:  // empty, nested on every other pass
+        if (f % 8 == 1) {
+          rig.fase_begin();
+          rig.fase_end();
+        }
+        break;
+      case 2: {  // report-only, within one line
+        const std::size_t line = rng.below(kDataLines);
+        const std::size_t cells = 1 + rng.below(3);
+        for (std::size_t i = 0; i < cells; ++i) {
+          const std::size_t cell = line * kCellsPerLine + rng.below(kCellsPerLine);
+          const std::uint64_t value = rng();
+          rig.pwrote_u64(0, cell, value);
+          state[cell] = value;
+        }
+        break;
+      }
+      default:  // logged, with an empty inner FASE first
+        rig.fase_begin();
+        rig.fase_end();
+        logged_stores(kStoresPerFase / 2);
+        break;
+    }
+    rig.fase_end();
+    run.snapshots.push_back(state);
+  }
+  return run;
+}
+
 struct MatrixParam {
   LogSyncMode mode;
   bool async;
@@ -97,12 +159,13 @@ struct MatrixParam {
 
 class CrashMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
-TEST_P(CrashMatrix, EveryFreezePointRecoversToACommittedFase) {
-  const auto [mode, async] = GetParam();
-
+/// Freeze `script` at every event of its run under (mode, async) and
+/// require each recovered image to be a committed snapshot.
+template <typename Script>
+void sweep_every_freeze_point(LogSyncMode mode, bool async, Script script) {
   // Dry run: learn the event count and the expected per-FASE snapshots.
   CrashRig dry(matrix_config(mode, async));
-  const auto snapshots = run_script(dry);
+  const std::vector<DataImage> snapshots = script(dry);
   const std::uint64_t total = dry.events();
   ASSERT_GT(total, 100u) << "script too small to exercise boundaries";
 
@@ -116,7 +179,7 @@ TEST_P(CrashMatrix, EveryFreezePointRecoversToACommittedFase) {
   for (std::uint64_t e = 0; e <= sweep_end; ++e) {
     CrashRig rig(matrix_config(mode, async));
     rig.freeze_at(e);
-    (void)run_script(rig);
+    (void)script(rig);
     const DataImage image = to_image(rig.recovered_data());
     const int idx = snapshot_index(snapshots, image);
     ASSERT_GE(idx, 0) << to_string(mode) << (async ? "/async" : "/sync")
@@ -132,7 +195,21 @@ TEST_P(CrashMatrix, EveryFreezePointRecoversToACommittedFase) {
     max_recovered = std::max(max_recovered, idx);
   }
   // The unfrozen end of the sweep must have reached the final state.
-  EXPECT_EQ(max_recovered, kFases);
+  EXPECT_EQ(max_recovered, snapshot_index(snapshots, snapshots.back()));
+}
+
+TEST_P(CrashMatrix, EveryFreezePointRecoversToACommittedFase) {
+  const auto [mode, async] = GetParam();
+  sweep_every_freeze_point(mode, async, run_script);
+}
+
+TEST_P(CrashMatrix, FasesThatLogNothingKeepEveryFreezePointCommitted) {
+  // Empty and report-only FASEs commit without touching the log; every
+  // crash point around them must still recover a committed snapshot.
+  const auto [mode, async] = GetParam();
+  sweep_every_freeze_point(mode, async, [](CrashRig& rig) {
+    return run_mixed_script(rig).snapshots;
+  });
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -164,6 +241,27 @@ TEST(CrashEquivalence, StrictAndBatchedConvergeWithFewerLogFences) {
   // Strict pays 2 fences per record plus 1 per commit (+1 from format()).
   EXPECT_EQ(strict.log_fences(),
             2u * kFases * kStoresPerFase + kFases + 1);
+}
+
+TEST(CrashEquivalence, FasesThatLogNothingAddNoLogTraffic) {
+  // Only logged FASEs touch the log: strict pays 2 fences per record plus
+  // one per logged commit (+1 from format()), nothing for the empty and
+  // report-only FASEs between them. Data traffic is the same in every mode.
+  CrashRig strict(matrix_config(LogSyncMode::kStrict, false));
+  const MixedRun run = run_mixed_script(strict);
+  ASSERT_LT(run.logged_fases + 1, run.snapshots.size() - 1)
+      << "the script must contain FASEs that log nothing";
+  EXPECT_EQ(strict.log_fences(), 2 * run.records + run.logged_fases + 1);
+  EXPECT_EQ(to_image(strict.durable_data()), run.snapshots.back());
+  for (const auto [mode, async] :
+       {MatrixParam{LogSyncMode::kBatched, false},
+        MatrixParam{LogSyncMode::kStrict, true},
+        MatrixParam{LogSyncMode::kBatched, true}}) {
+    CrashRig rig(matrix_config(mode, async));
+    EXPECT_EQ(run_mixed_script(rig).snapshots, run.snapshots);
+    EXPECT_EQ(rig.durable_data(), strict.durable_data()) << to_string(mode);
+    EXPECT_EQ(rig.data_flushes(), strict.data_flushes()) << to_string(mode);
+  }
 }
 
 TEST(CrashEquivalence, AsyncDataTrafficIsIdenticalToSync) {

@@ -301,6 +301,72 @@ TEST_F(RuntimeTest, BatchedLogFencesScaleWithEpochsNotRecords) {
   EXPECT_EQ(strict.stores, batched.stores);
 }
 
+TEST_F(RuntimeTest, FasesThatLogNothingCommitForFree) {
+  // A FASE that logged no record has nothing to de-certify: its commit
+  // writes no log line and no fence. Only a context's first commit writes,
+  // retiring the generation it adopted from the segment (DESIGN.md §7).
+  constexpr int kFases = 20;
+  RuntimeConfig config = quick_config(name_);
+  config.undo_logging = true;
+  config.log_sync = LogSyncMode::kBatched;
+  std::uint64_t root_offset = 0;
+  {
+    Runtime rt(config);
+    auto* x = rt.pm_new<std::uint64_t>();
+    auto* y = rt.pm_new<std::uint64_t>();
+    rt.set_root(x);
+    root_offset = rt.allocator().offset_of(x);
+    { FaseScope fase(rt); }
+    const RuntimeStats first = rt.stats();
+    EXPECT_EQ(first.log_flushes, 1u);
+    EXPECT_EQ(first.log_fences, 1u);
+    for (int f = 0; f < kFases; ++f) {
+      FaseScope fase(rt);
+    }
+    for (int f = 0; f < kFases; ++f) {
+      FaseScope fase(rt);
+      *y = static_cast<std::uint64_t>(f);
+      rt.pwrote(y, sizeof *y);
+    }
+    const RuntimeStats s = rt.stats();
+    EXPECT_EQ(s.fases, 2u * kFases + 1);
+    EXPECT_EQ(s.log_records, 0u);
+    EXPECT_EQ(s.log_flushes, first.log_flushes);
+    EXPECT_EQ(s.log_fences, first.log_fences);
+    EXPECT_GT(s.flushes, first.flushes);  // the pwrote lines were persisted
+    EXPECT_FALSE(rt.needs_recovery());
+  }
+
+  // kBest flushes no data line, so the batched record below is appended
+  // but never synced: its commit must still bump the generation.
+  RuntimeConfig best = config;
+  best.fresh = false;
+  best.policy = core::PolicyKind::kBest;
+  {
+    Runtime rt(best);
+    auto* x = rt.allocator().resolve<std::uint64_t>(root_offset);
+    { FaseScope fase(rt); }  // retires the adopted generation
+    const RuntimeStats before = rt.stats();
+    {
+      FaseScope fase(rt);
+      rt.pstore(*x, std::uint64_t{7});
+    }
+    const RuntimeStats after = rt.stats();
+    EXPECT_EQ(after.log_records, before.log_records + 1);
+    EXPECT_EQ(after.log_syncs, before.log_syncs);  // never synced
+    EXPECT_EQ(after.log_fences, before.log_fences + 1);  // the commit
+    EXPECT_FALSE(rt.needs_recovery());
+  }
+
+  RuntimeConfig reopen = config;
+  reopen.fresh = false;
+  Runtime rt(reopen);
+  EXPECT_FALSE(rt.needs_recovery());
+  EXPECT_EQ(rt.recover(), 0u);
+  EXPECT_EQ(*rt.allocator().resolve<std::uint64_t>(root_offset), 7u);
+  rt.destroy_storage();
+}
+
 TEST_F(RuntimeTest, BatchedRecoveryAcrossRealProcessCrash) {
   // The fork-crash test under the batched protocol: the child dies inside
   // a FASE with records appended but never explicitly synced. On the

@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/thread_groups.hpp"
 #include "runtime/runtime.hpp"
 
 namespace nvc::runtime {
@@ -27,11 +28,18 @@ constexpr const char* kKnobs[] = {
     "NVC_FAULT_DEGRADE_AFTER", "NVC_FAULT_SEED",    "NVC_SEED",
     "NVC_FAULT_ATTACH"};
 
+/// The worker-pool knobs, read by core::pool_settings_from_env and checked
+/// by from_env.
+constexpr const char* kPoolKnobs[] = {"NVC_FLUSH_WORKERS",
+                                      "NVC_ANALYSIS_WORKERS", "NVC_PIN",
+                                      "NVC_FLUSH_DRAIN_TIMEOUT_MS"};
+
 /// Starts every case from an environment with no runtime knob set.
 class RuntimeConfigEnv : public ::testing::Test {
  protected:
   void SetUp() override {
     for (const char* knob : kKnobs) ::unsetenv(knob);
+    for (const char* knob : kPoolKnobs) ::unsetenv(knob);
   }
   void TearDown() override { SetUp(); }
 };
@@ -176,6 +184,69 @@ TEST_F(RuntimeConfigEnv, MalformedValuesAreRefusedByName) {
                 std::string::npos)
           << message;
       EXPECT_NE(message.find(t.want), std::string::npos) << message;
+    }
+    ::unsetenv(t.knob);
+  }
+}
+
+TEST_F(RuntimeConfigEnv, PoolKnobsLandInTheirSettings) {
+  using S = const core::PoolSettings&;
+  const struct {
+    const char* knob;
+    const char* value;
+    std::function<bool(S)> landed;
+  } cases[] = {
+      {"NVC_FLUSH_WORKERS", "3", [](S s) { return s.flush_workers == 3; }},
+      {"NVC_FLUSH_WORKERS", "1000",
+       [](S s) { return s.flush_workers == core::kMaxPoolWorkers; }},
+      {"NVC_ANALYSIS_WORKERS", "2",
+       [](S s) { return s.analysis_workers == 2; }},
+      {"NVC_ANALYSIS_WORKERS", "0",
+       [](S s) { return s.analysis_workers >= 1; }},  // one per node
+      {"NVC_PIN", "1", [](S s) { return s.pin; }},
+      {"NVC_FLUSH_DRAIN_TIMEOUT_MS", "5",
+       [](S s) { return s.drain_timeout_ns == 5000000u; }},
+  };
+  const core::PoolSettings unset = core::pool_settings_from_env();
+  EXPECT_EQ(unset.flush_workers, 1u);
+  EXPECT_EQ(unset.analysis_workers, 1u);
+  EXPECT_FALSE(unset.pin);
+  EXPECT_EQ(unset.drain_timeout_ns, 0u);
+  for (const auto& t : cases) {
+    ASSERT_EQ(::setenv(t.knob, t.value, 1), 0);
+    EXPECT_TRUE(t.landed(core::pool_settings_from_env()))
+        << t.knob << "=" << t.value;
+    ::unsetenv(t.knob);
+  }
+}
+
+TEST_F(RuntimeConfigEnv, MalformedPoolKnobsAreRefusedByName) {
+  // Each used to be read leniently: NVC_PIN=yes read 0, NVC_FLUSH_WORKERS=
+  // two read 1, NVC_FLUSH_DRAIN_TIMEOUT_MS=5s read 5 and =-1 switched the
+  // watchdog off. from_env refuses them too, so a binary stops before any
+  // pool starts.
+  const Rejection cases[] = {
+      {"NVC_FLUSH_WORKERS", "two", "an integer"},
+      {"NVC_ANALYSIS_WORKERS", "-1", "an integer"},
+      {"NVC_PIN", "yes", "0|1"},
+      {"NVC_FLUSH_DRAIN_TIMEOUT_MS", "5s", "an integer"},
+      {"NVC_FLUSH_DRAIN_TIMEOUT_MS", "-1", "an integer"},
+      {"NVC_FLUSH_DRAIN_TIMEOUT_MS", "18446744073709552", "an integer"},
+  };
+  for (const Rejection& t : cases) {
+    ASSERT_EQ(::setenv(t.knob, t.value, 1), 0);
+    const std::string expected = std::string(t.knob) + "=" + t.value;
+    for (const auto& parse : std::initializer_list<std::function<void()>>{
+             [] { (void)core::pool_settings_from_env(); },
+             [] { (void)RuntimeConfig::from_env({}); }}) {
+      try {
+        parse();
+        ADD_FAILURE() << expected << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find(expected), std::string::npos) << message;
+        EXPECT_NE(message.find(t.want), std::string::npos) << message;
+      }
     }
     ::unsetenv(t.knob);
   }

@@ -316,6 +316,116 @@ TEST_F(LogFixture, NewGenerationRecordsAfterRecommitAreFound) {
   EXPECT_EQ(data_at<std::uint64_t>(200), 2u);
 }
 
+// --- empty generations commit for free (DESIGN.md §7) -----------------------
+
+TEST_F(LogFixture, EmptyGenerationCommitWritesNothing) {
+  for (const LogSyncMode mode : {LogSyncMode::kStrict, LogSyncMode::kBatched}) {
+    std::memset(buffer.get(), 0, kSize);
+    UndoLog log = make_log(mode);
+    log.format();
+    const std::uint64_t formatted = UndoLog::inspect(buffer.get(), kSize).gen;
+    // Freshly formatted: nothing to de-certify, so nothing is written and
+    // the generation stays.
+    backend.reset_counters();
+    EXPECT_TRUE(log.commit()) << to_string(mode);
+    EXPECT_EQ(backend.flush_count(), 0u) << to_string(mode);
+    EXPECT_EQ(backend.fence_count(), 0u) << to_string(mode);
+    EXPECT_EQ(UndoLog::inspect(buffer.get(), kSize).gen, formatted);
+    EXPECT_EQ(log.tail(), UndoLog::kHeaderSize);
+
+    // Just committed a logged generation: the next empty commit is free.
+    const std::uint64_t v = 5;
+    log.record(0, &v, sizeof v);
+    log.sync();
+    ASSERT_TRUE(log.commit());
+    const std::uint64_t state = reinterpret_cast<UndoLog::LogHeader*>(
+                                    buffer.get())->state;
+    EXPECT_EQ(UndoLog::state_gen(state), formatted + 1) << to_string(mode);
+    backend.reset_counters();
+    EXPECT_TRUE(log.commit()) << to_string(mode);
+    EXPECT_EQ(backend.flush_count(), 0u) << to_string(mode);
+    EXPECT_EQ(backend.fence_count(), 0u) << to_string(mode);
+    EXPECT_EQ(reinterpret_cast<UndoLog::LogHeader*>(buffer.get())->state,
+              state);
+    EXPECT_FALSE(needs_recovery());
+  }
+}
+
+TEST_F(LogFixture, BatchedUnsyncedRecordsStillRetireOnCommit) {
+  // A batched FASE whose records were appended but never synced (no data
+  // line flushed before its end) has a durable tail still at the header,
+  // yet its entries sit certified in the segment. Its commit must bump the
+  // generation, or a restart would roll the committed FASE back.
+  {
+    UndoLog log = make_log(LogSyncMode::kBatched);
+    log.format();
+    const std::uint64_t a = 0xA, b = 0xB;
+    log.record(0, &a, sizeof a);
+    log.record(8, &b, sizeof b);
+    ASSERT_EQ(log.tail(), UndoLog::kHeaderSize);  // nothing synced
+    backend.reset_counters();
+    ASSERT_TRUE(log.commit());
+    EXPECT_EQ(backend.fence_count(), 1u);
+  }
+  UndoLog reopened = make_log(LogSyncMode::kBatched);
+  EXPECT_FALSE(needs_recovery());
+  EXPECT_TRUE(tokens().empty());
+  EXPECT_EQ(recover(), 0u);
+  EXPECT_EQ(data_at<std::uint64_t>(0), 0xeeeeeeeeeeeeeeeeull);
+  EXPECT_EQ(data_at<std::uint64_t>(8), 0xeeeeeeeeeeeeeeeeull);
+}
+
+TEST_F(LogFixture, ReopenedSegmentWithCertifiedEntriesWritesOnCommit) {
+  // A restart over entries certified past the durable tail adopts them as
+  // appended: committing that generation must retire them durably.
+  {
+    UndoLog log = make_log(LogSyncMode::kBatched);
+    log.format();
+    const std::uint64_t v = 3;
+    log.record(16, &v, sizeof v);
+  }
+  UndoLog reopened = make_log(LogSyncMode::kBatched);
+  ASSERT_EQ(reopened.tail(), UndoLog::kHeaderSize);
+  ASSERT_GT(reopened.appended_tail(), UndoLog::kHeaderSize);
+  const std::uint32_t gen = UndoLog::inspect(buffer.get(), kSize).gen;
+  backend.reset_counters();
+  ASSERT_TRUE(reopened.commit());
+  EXPECT_GE(backend.flush_count(), 1u);
+  EXPECT_EQ(backend.fence_count(), 1u);
+  EXPECT_EQ(UndoLog::inspect(buffer.get(), kSize).gen, gen + 1);
+  EXPECT_FALSE(needs_recovery());
+}
+
+TEST_F(LogFixture, ReopenedGenerationIsRetiredByItsFirstCommit) {
+  // A crash mid-sync can persist a later entry line but not an earlier one
+  // (write-backs before the fence land in any order). The torn entry stops
+  // the chain, so a restart sees an empty, clean generation — but the
+  // later entry still certifies under it. The first commit after the
+  // reopen must bump the generation even though nothing was appended, or
+  // a later FASE whose chain reached that entry would replay it.
+  const std::uint64_t stale_token = 24;
+  {
+    UndoLog log = make_log(LogSyncMode::kBatched);
+    log.format();
+    const std::uint64_t a = 1, b = 2;
+    log.record(0, &a, sizeof a);
+    log.record(stale_token, &b, sizeof b);
+    buffer.get()[UndoLog::kHeaderSize + 16] ^= 0x5a;  // first entry torn
+  }
+  UndoLog reopened = make_log(LogSyncMode::kBatched);
+  ASSERT_FALSE(needs_recovery());
+  ASSERT_EQ(reopened.appended_tail(), UndoLog::kHeaderSize);
+  backend.reset_counters();
+  ASSERT_TRUE(reopened.commit());
+  EXPECT_EQ(backend.fence_count(), 1u);
+  // A same-sized record now ends exactly where the stale entry starts.
+  const std::uint64_t c = 3;
+  reopened.record(8, &c, sizeof c);
+  EXPECT_EQ(tokens(), (std::vector<std::uint64_t>{8}));
+  EXPECT_EQ(recover(), 1u);
+  EXPECT_EQ(data_at<std::uint64_t>(stale_token), 0xeeeeeeeeeeeeeeeeull);
+}
+
 TEST_F(LogFixture, ParseLogSyncMode) {
   EXPECT_EQ(parse_log_sync_mode("strict"), LogSyncMode::kStrict);
   EXPECT_EQ(parse_log_sync_mode("batched"), LogSyncMode::kBatched);
